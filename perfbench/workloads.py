@@ -1,21 +1,20 @@
-"""Seeded inputs and the timed operations of the three workloads.
+"""Seeded inputs and the timed operations of the two workloads.
 
 Every end-to-end metric is measured on every workload, so every round holds
 operations of every kind; the workloads differ in how much of each kind a
 round holds (SIZES):
 
-  constants  two altspline x1 values: four array-native and four scalar-only
-             sweep constants.
+  constants  three altspline x1 values: six array-native and six
+             scalar-only sweep constants.
   oracle     2400 narrow, 120 wide and 560 scaled exact checks, and
-             `verify --suite oracle` at 1000 samples.
-  proof      the three ineqcheck sweeps at 10**6 samples each, four times.
+             `verify --suite oracle` at 1000 samples; two x1 values.
 
-Each round also runs `vbesharp table` three times, `vbesharp verify` twice,
-the sweeps at least once and enumerate_orderings() once.  The operations of
-each kind are spread evenly over the round, so that every metric averages
-over the same stretch of machine time.  Input sizes that set an operation's
-cost (the number of laws) are stratified rather than drawn freely, so the
-cost of a round hardly depends on the seed.
+Each round also runs `vbesharp table` five times, `vbesharp verify` five
+times, the three sweeps at least once and enumerate_orderings() once.  The
+operations of each kind are spread evenly over the round, so that every
+metric averages over the same stretch of machine time.  Input sizes that set
+an operation's cost (the number of laws) are stratified rather than drawn
+freely, so the cost of a round hardly depends on the seed.
 
 The inputs depend on --seed only, with two exceptions.  The altspline
 parameters are the fixed X1_VALUES: the cost of a sweep constant moves
@@ -42,24 +41,23 @@ import numpy as np
 
 from vbesharp import cli, constants, ineqcheck, momfun, oracle
 
-WORKLOADS = ("constants", "oracle", "proof")
+WORKLOADS = ("constants", "oracle")
 LAMBDAS = (1e-15, 1e-10, 1e-5, 1.0, 1e5, 1e10, 1e15)
 SCALED_SEED = 20101008
-X1_VALUES = (0.15, 0.1)
+X1_VALUES = (0.15, 0.1, 0.2)
 # mixing-measure grid for the round-trip functions: it must reach past every
 # argument the centering sweep evaluates (c up to 1e3, s/c up to 1e3)
 GAMMA_GRID = np.geomspace(1e-3, 1e7, 400)
 
 SIZES = {
-    "constants": dict(x1=2, narrow=600, wide=30, scaled=0, verify=300, sweep_reps=1),
-    "oracle": dict(x1=1, narrow=2400, wide=120, scaled=40, verify=1000, sweep_reps=2),
-    "proof": dict(x1=1, narrow=600, wide=30, scaled=0, verify=300, sweep_reps=4),
+    "constants": dict(x1=3, narrow=600, wide=30, scaled=0, verify=300, sweep_reps=1),
+    "oracle": dict(x1=2, narrow=2400, wide=120, scaled=40, verify=1000, sweep_reps=2),
 }
 SWEEP_SAMPLES = 10 ** 6
 # the child-process runs of a round: each is short, so several spread over
 # the round give their metric the round's average machine speed
-TABLES = 3
-VERIFIES = 2
+TABLES = 5
+VERIFIES = 5
 # narrow check kinds, repeated in this proportion
 NARROW_MIX = ("main",) * 4 + ("tree",) * 2 + ("centering",) * 2 + ("concentration", "sum_norm")
 
