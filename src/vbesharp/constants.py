@@ -358,12 +358,16 @@ def centering_constant(f: MomentFunction,
     """Best kappa in E f(X) <= kappa E f(X+a) over zero-mean X; in [1, 2].
 
     Equals sup over 0 < c < s/2 and a in (0, c) of the ratio of the centering
-    objective at a = 0 to its minimum.  Swept over a log grid of spreads c
-    and scale ratios s/c with the exact inner minimizer, then sharpened by
-    two rounds of coordinate golden refinement.  Certified lower bound; the
-    argmax sits on the grid boundary for clip families, whose supremum 2 is
-    reached only in a double limit.
+    objective at a = 0 to its minimum.  Closed forms: the pure square gives
+    1 and clipped squares give 2, a supremum reached only in a double limit.
+    Otherwise swept over a log grid of spreads c and scale ratios s/c with
+    the exact inner minimizer, then sharpened by two rounds of coordinate
+    golden refinement; the result is a certified lower bound.
     """
+    if f.kind == "extreme":
+        if math.isinf(f.param):
+            return ConstantResult(value=1.0, method="closed_form")
+        return ConstantResult(value=2.0, method="closed_form", attained_in_limit=True)
     if c_grid is None:
         c_grid = np.geomspace(1e-2, 1e3, 40)
     c_grid = np.asarray(c_grid, dtype=float)

@@ -27,6 +27,8 @@ from scipy.stats import qmc
 from .constants import bregman_gap
 from .errors import DomainError, InvariantError
 from .momfun import MomentFunction
+from .momfun import _clipped_square as _psi
+from .momfun import _clipped_square_slope_odd as _psi_slope_odd
 from .oracle import CheckReport, growth_ratio, make_report
 
 __all__ = [
@@ -48,17 +50,6 @@ __all__ = [
 ]
 
 _VIOL_TOL = 1e-12
-
-
-def _psi(t, x):
-    # clipped square without the per-call scalar validation (hot path,
-    # array t allowed)
-    ax = np.abs(x)
-    return ax * ax - np.square(np.maximum(ax - t, 0.0))
-
-
-def _psi_slope_odd(t, x):
-    return np.sign(x) * 2.0 * np.minimum(t, np.abs(x))
 
 
 def kernel_terms(t, s, x, c):

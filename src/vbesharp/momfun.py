@@ -67,17 +67,20 @@ def _check_clip_level(t) -> float:
     return t
 
 
+def _clipped_square(t, x):
+    # Unchecked kernel of clipped_square; t may be an array.  At t = inf the
+    # clipped part (|x| - inf)_+ is 0, so no branch is needed.
+    ax = np.abs(x)
+    return ax * ax - np.square(np.maximum(ax - t, 0.0))
+
+
 def clipped_square(t, x):
     """x**2 - (|x| - t)_+**2: the square function linearized beyond |x| = t.
 
     Equals x**2 for |x| <= t and 2*t*|x| - t**2 beyond; t = inf gives x**2
     for all x.  Accepts scalar or array x.
     """
-    t = _check_clip_level(t)
-    ax = np.abs(x)
-    if math.isinf(t):
-        return ax * ax
-    return ax * ax - np.square(np.maximum(ax - t, 0.0))
+    return _clipped_square(_check_clip_level(t), x)
 
 
 def clipped_square_slope(t, x):

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constants import (
+    centering_constant,
     power_centering_constant,
     power_gap_argmax,
     power_sharp_constant,
@@ -52,6 +53,8 @@ __all__ = [
     "VectorDist",
     "check_sum_norm",
     "check_spread",
+    "format_value",
+    "write_csv",
     "reports_to_csv",
     "reports_to_jsonl",
 ]
@@ -144,13 +147,15 @@ def expect_f(dist: DiscreteDist, f: MomentFunction) -> float:
     return math.fsum(p * v for v, p in zip(vals, dist.probs))
 
 
-def _mean_scale(dist: DiscreteDist) -> float:
-    return max(1.0, float(np.max(np.abs(dist.support))))
+def _off_center(mean: float, points) -> bool:
+    """Whether a mean is nonzero beyond rounding, relative to the largest
+    |point| (no floor, so the test means the same at every scale)."""
+    return abs(mean) > _MEAN_TOL * float(np.max(np.abs(points)))
 
 
 def _require_zero_mean(dist: DiscreteDist, what: str):
     m = expect(dist)
-    if abs(m) > _MEAN_TOL * _mean_scale(dist):
+    if _off_center(m, dist.support):
         raise PreconditionError(f"{what} must be zero-mean (mean={m:.3e})")
 
 
@@ -229,8 +234,7 @@ class MartingaleTree:
             raise InvariantError("transition probabilities must sum to 1")
         if not is_root:
             m = math.fsum(p * x for x, p, _ in self.children)
-            scale = max(1.0, max(abs(x) for x, _, _ in self.children))
-            if abs(m) > _MEAN_TOL * scale:
+            if _off_center(m, [x for x, _, _ in self.children]):
                 raise InvariantError(
                     f"conditional mean {m:.3e} of differences is not zero")
         for _, _, child in self.children:
@@ -396,7 +400,7 @@ def _resolve_constants(f: Optional[MomentFunction], p: Optional[float],
         f = power_momfun(p)
     if kappa is None:
         if f.kind == "extreme":
-            kappa = 1.0 if math.isinf(f.param) else 2.0
+            kappa = centering_constant(f).value
         elif f.kind == "power":
             kappa = power_centering_constant(f.param).value
         else:
@@ -633,7 +637,8 @@ _CSV_COLUMNS = ("check", "params", "n", "lhs", "rhs", "slack",
                 "max_violation", "passed", "seed")
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """CSV cell text: floats to 17 significant digits, None empty."""
     if v is None:
         return ""
     if isinstance(v, float):
@@ -656,15 +661,21 @@ def rows_from_reports(name: str, reports, params=None, seed=None):
     return rows
 
 
-def reports_to_csv(path, rows, header_lines=()):
-    """Write rows as CSV: comma separated, '.' decimal point, 17 significant
-    digits, LF line endings, leading '#' metadata lines."""
+def write_csv(path, columns, rows, header_lines=()):
+    """Write sequence rows as CSV: comma separated, '.' decimal point, 17
+    significant digits, LF line endings, leading '#' metadata lines."""
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in _CSV_COLUMNS) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
+
+
+def reports_to_csv(path, rows, header_lines=()):
+    """Write report rows (dicts, see rows_from_reports) with write_csv."""
+    write_csv(path, _CSV_COLUMNS,
+              ([row.get(c) for c in _CSV_COLUMNS] for row in rows), header_lines)
 
 
 def reports_to_jsonl(path, rows, header_lines=()):

@@ -18,6 +18,7 @@ import numpy as np
 from . import ineqcheck, oracle
 from .constants import (
     bregman_gap,
+    centering_constant,
     power_centering_constant,
     power_sharp_constant,
     sharp_constant,
@@ -57,34 +58,44 @@ def _log_uniform(rng, lo, hi, size=None):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def main_inequality_suite(n: int = 10 ** 4, seed: int = 1, collect: bool = False) -> SuiteResult:
-    """Random independent two-point difference sequences against the sharp
-    power constant: exponent uniform in (1.01, 2], spreads log-uniform in
-    [1e-3, 1e3], 2 to 4 differences."""
+def _run(name: str, n: int, seed: int, draw, collect: bool) -> SuiteResult:
+    """Run n cases drawn by draw(rng, i) -> (report, label) from one seeded
+    generator.  The label is the case's CSV params and, for the case with the
+    least relative slack, the result's worst_params."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     violations = 0
     min_slack = math.inf
     worst = ""
     rows = []
-    for _ in range(int(n)):
+    for i in range(int(n)):
+        rep, label = draw(rng, i)
+        rel = rep.slack / max(1.0, abs(rep.rhs))
+        if rel < min_slack:
+            min_slack = rel
+            worst = label
+        if not rep.passed:
+            violations += 1
+        if collect:
+            rows.extend(oracle.rows_from_reports(name, [rep], params=[label], seed=seed))
+    return SuiteResult(name, int(n), seed, violations, min_slack,
+                       worst, time.perf_counter() - t0, rows)
+
+
+def main_inequality_suite(n: int = 10 ** 4, seed: int = 1, collect: bool = False) -> SuiteResult:
+    """Random independent two-point difference sequences against the sharp
+    power constant: exponent uniform in (1.01, 2], spreads log-uniform in
+    [1e-3, 1e3], 2 to 4 differences."""
+    def draw(rng, i):
         p = float(rng.uniform(1.01, 2.0))
         f = power_momfun(p)
         C = power_sharp_constant(p).value
         k = int(rng.integers(2, 5))
         diffs = [oracle.two_point(*_log_uniform(rng, 1e-3, 1e3, 2)) for _ in range(k)]
         rep = oracle.check_main_inequality(f, diffs, C)
-        rel = rep.slack / max(1.0, abs(rep.rhs))
-        if rel < min_slack:
-            min_slack = rel
-            worst = f"p={p:.6g} k={k}"
-        if not rep.passed:
-            violations += 1
-        if collect:
-            rows.extend(oracle.rows_from_reports(
-                "main_inequality", [rep], params=[f"p={p:.6g};k={k}"], seed=seed))
-    return SuiteResult("main_inequality", int(n), seed, violations, min_slack,
-                       worst, time.perf_counter() - t0, rows)
+        return rep, f"p={p:.6g};k={k}"
+
+    return _run("main_inequality", n, seed, draw, collect)
 
 
 def _random_tree(rng, depth: int, scale: float) -> oracle.MartingaleTree:
@@ -111,30 +122,17 @@ def tree_suite(n: int = 10 ** 3, seed: int = 2, collect: bool = False,
     if funcs is None:
         funcs = [extreme_momfun(1.0), power_momfun(1.3), power_momfun(1.7)]
     consts = [sharp_constant(f).value + allowance for f in funcs]
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    violations = 0
-    min_slack = math.inf
-    worst = ""
-    rows = []
-    for i in range(int(n)):
+
+    def draw(rng, i):
         f = funcs[i % len(funcs)]
         C = consts[i % len(funcs)]
         depth = int(rng.integers(1, 4))
         scale = float(_log_uniform(rng, 0.1, 10.0))
         tree = _random_tree(rng, depth, scale)
         rep = oracle.check_tree_inequality(f, tree, C)
-        rel = rep.slack / max(1.0, abs(rep.rhs))
-        if rel < min_slack:
-            min_slack = rel
-            worst = f"f={f.label} depth={depth}"
-        if not rep.passed:
-            violations += 1
-        if collect:
-            rows.extend(oracle.rows_from_reports(
-                "tree_inequality", [rep], params=[f"f={f.label};depth={depth}"], seed=seed))
-    return SuiteResult("tree_inequality", int(n), seed, violations, min_slack,
-                       worst, time.perf_counter() - t0, rows)
+        return rep, f"f={f.label};depth={depth}"
+
+    return _run("tree_inequality", n, seed, draw, collect)
 
 
 def _random_zero_mean(rng, k: int, scale: float) -> oracle.DiscreteDist:
@@ -151,15 +149,12 @@ def centering_suite(n: int = 10 ** 3, seed: int = 3, collect: bool = False,
                     allowance: float = 1e-3) -> SuiteResult:
     """Random zero-mean laws and shifts against the computed centering
     constant (certified lower bound) plus an allowance."""
-    funcs = [power_momfun(1.5), extreme_momfun(1.0)]
-    kappas = [power_centering_constant(1.5).value + allowance, 2.0 + allowance]
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    violations = 0
-    min_slack = math.inf
-    worst = ""
-    rows = []
-    for i in range(int(n)):
+    clip = extreme_momfun(1.0)
+    funcs = [power_momfun(1.5), clip]
+    kappas = [power_centering_constant(1.5).value + allowance,
+              centering_constant(clip).value + allowance]
+
+    def draw(rng, i):
         f = funcs[i % 2]
         kap = kappas[i % 2]
         k = int(rng.integers(2, 5))
@@ -167,17 +162,9 @@ def centering_suite(n: int = 10 ** 3, seed: int = 3, collect: bool = False,
         dist = _random_zero_mean(rng, k, scale)
         a = float(rng.uniform(-2.0, 2.0) * scale)
         rep = oracle.check_centering(f, dist, a, kap)
-        rel = rep.slack / max(1.0, abs(rep.rhs))
-        if rel < min_slack:
-            min_slack = rel
-            worst = f"f={f.label} k={k} a={a:.4g}"
-        if not rep.passed:
-            violations += 1
-        if collect:
-            rows.extend(oracle.rows_from_reports(
-                "centering", [rep], params=[f"f={f.label};a={a:.6g}"], seed=seed))
-    return SuiteResult("centering", int(n), seed, violations, min_slack,
-                       worst, time.perf_counter() - t0, rows)
+        return rep, f"f={f.label};a={a:.6g}"
+
+    return _run("centering", n, seed, draw, collect)
 
 
 def concentration_suite(n: int = 200, seed: int = 4, collect: bool = False) -> SuiteResult:
@@ -185,13 +172,7 @@ def concentration_suite(n: int = 200, seed: int = 4, collect: bool = False) -> S
     plus the vector sum-norm variant every fourth instance.  Also asserts the
     per-path telescoping of the expansion increments and the anchor-gap
     bounds returned in the diagnostics."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    violations = 0
-    min_slack = math.inf
-    worst = ""
-    rows = []
-    for i in range(int(n)):
+    def draw(rng, i):
         p = float(rng.uniform(1.01, 2.0))
         nc = int(rng.integers(1, 5))
         if i % 4 == 3:
@@ -204,36 +185,26 @@ def concentration_suite(n: int = 200, seed: int = 4, collect: bool = False) -> S
                 vecs.append(oracle.VectorDist(pts, pr / math.fsum(pr)))
             anchors = [rng.uniform(-1.0, 1.0, dim) for _ in range(nc)]
             rep = oracle.check_sum_norm(vecs, p, anchors)
-            tag = f"sum_norm p={p:.4g} n={nc} dim={dim}"
-        else:
-            margs = []
-            for _ in range(nc):
-                k = int(rng.integers(2, 5))
+            return rep, f"sum_norm p={p:.4g} n={nc} dim={dim}"
+        margs = []
+        for _ in range(nc):
+            k = int(rng.integers(2, 5))
+            pts = np.sort(rng.uniform(-3.0, 3.0, k))
+            while len(np.unique(pts)) < k:
                 pts = np.sort(rng.uniform(-3.0, 3.0, k))
-                while len(np.unique(pts)) < k:
-                    pts = np.sort(rng.uniform(-3.0, 3.0, k))
-                pr = rng.uniform(0.05, 1.0, k)
-                margs.append(oracle.DiscreteDist(pts, pr / math.fsum(pr)))
-            table = rng.uniform(-5.0, 5.0, tuple(len(m) for m in margs))
-            anchors = [float(m.support[rng.integers(0, len(m))]) for m in margs]
-            rep = oracle.check_concentration(table, margs, anchors, p=p,
-                                             relaxed=bool(rng.integers(0, 2)))
-            if rep.details["doob_telescope_error"] > 1e-10:
-                raise AssertionError("telescoping identity failed")
-            if rep.details["eta_bound_margin"] < -1e-10:
-                raise AssertionError("anchor gap exceeded its cost bound")
-            tag = f"table p={p:.4g} n={nc}"
-        rel = rep.slack / max(1.0, abs(rep.rhs))
-        if rel < min_slack:
-            min_slack = rel
-            worst = tag
-        if not rep.passed:
-            violations += 1
-        if collect:
-            rows.extend(oracle.rows_from_reports("concentration", [rep],
-                                                 params=[tag], seed=seed))
-    return SuiteResult("concentration", int(n), seed, violations, min_slack,
-                       worst, time.perf_counter() - t0, rows)
+            pr = rng.uniform(0.05, 1.0, k)
+            margs.append(oracle.DiscreteDist(pts, pr / math.fsum(pr)))
+        table = rng.uniform(-5.0, 5.0, tuple(len(m) for m in margs))
+        anchors = [float(m.support[rng.integers(0, len(m))]) for m in margs]
+        rep = oracle.check_concentration(table, margs, anchors, p=p,
+                                         relaxed=bool(rng.integers(0, 2)))
+        if rep.details["doob_telescope_error"] > 1e-10:
+            raise AssertionError("telescoping identity failed")
+        if rep.details["eta_bound_margin"] < -1e-10:
+            raise AssertionError("anchor gap exceeded its cost bound")
+        return rep, f"table p={p:.4g} n={nc}"
+
+    return _run("concentration", n, seed, draw, collect)
 
 
 def _family_pool():
@@ -251,29 +222,16 @@ def growth_vs_gap_suite(n: int = 10 ** 4, seed: int = 5, collect: bool = False) 
     """Random (f, c, s, x): the two-point growth ratio never exceeds the
     normalized gap profile."""
     pool = _family_pool()
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    violations = 0
-    min_slack = math.inf
-    worst = ""
-    rows = []
-    for i in range(int(n)):
+
+    def draw(rng, i):
         f = pool[i % len(pool)]
         s = float(_log_uniform(rng, 0.1, 10.0))
         x = float(rng.uniform(1e-6, 1.0 - 1e-6)) * s
         c = float(rng.uniform(1e-6, 1.0 - 1e-6)) * s
         rep = ineqcheck.check_growth_vs_gap(f, c, s, x)
-        rel = rep.slack / max(1.0, abs(rep.rhs))
-        if rel < min_slack:
-            min_slack = rel
-            worst = f"f={f.label} s={s:.4g} c={c:.4g} x={x:.4g}"
-        if not rep.passed:
-            violations += 1
-        if collect:
-            rows.extend(oracle.rows_from_reports(
-                "growth_vs_gap", [rep], params=[worst], seed=seed))
-    return SuiteResult("growth_vs_gap", int(n), seed, violations, min_slack,
-                       worst, time.perf_counter() - t0, rows)
+        return rep, f"f={f.label};s={s:.6g};c={c:.6g};x={x:.6g}"
+
+    return _run("growth_vs_gap", n, seed, draw, collect)
 
 
 def growth_limit_suite(n: int = 100, seed: int = 6, rel_spread: float = 1e-6,

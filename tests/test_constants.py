@@ -340,6 +340,12 @@ class TestCenteringConstant:
         assert res.value <= 2.0 + 1e-9
         assert res.attained_in_limit
 
+    def test_clip_closed_form(self):
+        res = centering_constant(extreme_momfun(1.0))
+        assert (res.value, res.method, res.attained_in_limit) == (2.0, "closed_form", True)
+        res = centering_constant(extreme_momfun(math.inf))
+        assert (res.value, res.method, res.attained_in_limit) == (1.0, "closed_form", False)
+
     def test_power_matches_closed_form(self):
         res = centering_constant(power_momfun(1.5))
         target = power_centering_constant(1.5).value

@@ -162,6 +162,15 @@ class TestMainInequality:
                                     first_zero_mean=False)
         assert rep.passed
 
+    def test_mean_precondition_at_small_scale(self):
+        # mean 1e-13 is not rounding error for a law on the 1e-13 scale
+        f = power_momfun(1.5)
+        off = discrete([-1e-13, 3e-13], [0.5, 0.5])
+        with pytest.raises(PreconditionError):
+            check_main_inequality(f, [off, two_point(1.0, 1.0)], 1.5)
+        rep = check_main_inequality(f, [two_point(1e-13, 2e-13), two_point(1.0, 1.0)], 1.5)
+        assert rep.passed
+
     @given(st.floats(1.01, 2.0),
            st.lists(st.tuples(st.floats(0.001, 1000.0), st.floats(0.001, 1000.0)),
                     min_size=2, max_size=4))
@@ -205,6 +214,13 @@ class TestTrees:
         tree = MartingaleTree(children=((1.0, 1.0, bad),))
         with pytest.raises(InvariantError):
             check_tree_inequality(power_momfun(1.5), tree, 2.0)
+
+    def test_conditional_mean_violation_at_small_scale(self):
+        off = discrete([-1e-13, 3e-13], [0.5, 0.5])
+        with pytest.raises(InvariantError):
+            tree_from_independent([two_point(1.0, 1.0), off]).validate()
+        tree_from_independent([two_point(1.0, 1.0), two_point(1e-13, 2e-13)]).validate()
+        tree_from_independent([two_point(1e-13, 1e-13), two_point(1e-13, 2e-13)]).validate()
 
     def test_ragged_depth_rejected(self):
         leaf = MartingaleTree()

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from vbesharp import (
     AltSplineParams,
     altspline_momfun,
@@ -45,6 +47,18 @@ def test_concentration_suite_small():
 def test_growth_vs_gap_suite_families():
     res = growth_vs_gap_suite(1200, seed=35)
     assert res.violations == 0
+
+
+@pytest.mark.parametrize("suite, n", [
+    (main_inequality_suite, 40), (tree_suite, 30), (centering_suite, 40),
+    (concentration_suite, 16), (growth_vs_gap_suite, 60)])
+def test_rows_name_their_own_case(suite, n):
+    res = suite(n, seed=5, collect=True)
+    assert len(res.rows) == n
+    worst = min(res.rows, key=lambda r: r["slack"] / max(1.0, abs(r["rhs"])))
+    assert res.worst_params == worst["params"]
+    if suite is growth_vs_gap_suite:
+        assert len({r["params"] for r in res.rows}) == n
 
 
 def test_suites_are_seed_deterministic():
