@@ -244,6 +244,16 @@ def _cmd_verify(args) -> int:
     return _EXIT_FAIL if failed else _EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vbesharp",
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True,
                     choices=("delta", "sublemma", "jle", "oracle",
                              "concentration", "all"))
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_positive_int, default=1000)
     common(sp)
     return ap
 

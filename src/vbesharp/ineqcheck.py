@@ -9,17 +9,21 @@ normalized (unit scale) cross-term gap
 
 over 0 < x < 1, 0 < c < 1, u, t > 0, built from the clipped-square kernel
 triples.  This module evaluates those objects exactly (piecewise kinks and
-all), sweeps them on seeded low-discrepancy samples, and reproduces the
-combinatorial ordering counts used to partition the case analysis.
+all), sweeps them on seeded low-discrepancy samples, and counts the
+orderings of the kernel arguments that partition the case analysis.
 
-Verification here is sampled, not certified: the statements are theorems,
-and these sweeps are regression-grade numerical confirmation.
+The ordering counts are exact: they enumerate the cells of a line
+arrangement in rational arithmetic.  The sweeps are still sampled, not
+certified: the statements are theorems, and the sweeps are regression-grade
+numerical confirmation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import qmc
@@ -270,9 +274,15 @@ def check_growth_vs_gap(f: MomentFunction, c: float, s: float, x: float) -> Chec
 @dataclass(frozen=True)
 class OrderingCounts:
     """Feasible strict orderings of the seven kernel arguments
-    (1, x, 1+x-c, |x-c|, 1-c, c, 1-x) under 0 < x < 1 < 2c, split by the
-    branch x < c versus x > c, with a feasible (x, c) witness per ordering.
-    case_count = (total orderings) * 36 level-cell pairs."""
+    (1, x, 1+x-c, |x-c|, 1-c, c, 1-x) over 0 < x < 1, 1/2 < c < 1, split by
+    the branch x < c versus x > c, with a float (x, c) witness per ordering.
+
+    The domain is the one the case analysis needs: c < 1 is the unit-scale
+    two-pointer's c < s, and c <= 1/2 reduces to 1 - c >= 1/2 through the
+    nonpositive reflection gap.  The counts depend on that bound: letting c
+    run up to 3 gives 18 orderings, not 12.  An ordering is the argsort
+    permutation of the seven values (their indices in increasing order), not
+    their ranks.  case_count = (total orderings) * 36 level-cell pairs."""
 
     count_x_lt_c: int
     count_x_gt_c: int
@@ -282,53 +292,112 @@ class OrderingCounts:
     witnesses: dict
 
 
+def _strict_order(x, c):
+    """The argsort permutation of the seven values at (x, c), evaluated in
+    exact rationals, or None when two of them tie."""
+    x, c = Fraction(x), Fraction(c)
+    z = (Fraction(1), x, 1 + x - c, abs(x - c), 1 - c, c, 1 - x)
+    order = tuple(sorted(range(7), key=z.__getitem__))
+    if all(z[a] < z[b] for a, b in zip(order, order[1:])):
+        return order
+    return None
+
+
+def _arrangement_orderings(below: bool) -> dict:
+    """Every strict ordering on one branch (x < c if below, else x > c), each
+    with an exact rational point inside one of its cells.
+
+    On a branch each value is affine in (x, c), so each tie is a line, and so
+    is each domain edge.  Between consecutive abscissae where two lines cross
+    or a line is vertical, no two lines cross; so at the slab's midpoint the
+    non-vertical lines, sorted by c, bound every cell the slab meets."""
+    sign = -1 if below else 1  # |x-c| = sign * (x - c) on the branch
+    coef = ((1, 0, 0), (0, 1, 0), (1, 1, -1), (0, sign, -sign),
+            (1, 0, -1), (0, 0, 1), (1, -1, 0))  # (const, x, c) of each value
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    lines = {(half, zero), (one, zero), (zero, one)}  # c = alpha + beta x
+    cuts = {zero, one}
+    for i, j in itertools.combinations(range(7), 2):
+        a, b, d = (p - q for p, q in zip(coef[i], coef[j]))
+        if d:
+            lines.add((Fraction(-a, d), Fraction(-b, d)))
+        elif b:
+            cuts.add(Fraction(-a, b))
+    for (a1, b1), (a2, b2) in itertools.combinations(lines, 2):
+        if b1 != b2:
+            cuts.add((a2 - a1) / (b1 - b2))
+    xs = sorted(v for v in cuts if 0 <= v <= 1)
+    found = {}
+    for x in ((l + r) / 2 for l, r in zip(xs, xs[1:])):
+        lo, hi = (max(half, x), one) if below else (half, min(one, x))
+        cs = sorted({v for v in (a + b * x for a, b in lines) if lo <= v <= hi})
+        for c in ((l + r) / 2 for l, r in zip(cs, cs[1:])):
+            order = _strict_order(x, c)
+            if order is None:
+                raise InvariantError(f"tie inside an arrangement cell at ({x}, {c})")
+            found.setdefault(order, (x, c))
+    return found
+
+
+def _float_witness(order, point, below: bool) -> tuple:
+    """Round an exact cell point to floats and check, in exact rationals at
+    those floats, that it still lies in the domain on its branch and realises
+    its ordering."""
+    x, c = (float(v) for v in point)
+    if not (0.0 < x < 1.0 and 0.5 < c < 1.0 and (x < c) == below
+            and _strict_order(x, c) == order):
+        raise InvariantError(f"float witness ({x!r}, {c!r}) does not realise {order}")
+    return x, c
+
+
 def _z_values(x, c):
     one = np.ones_like(x)
     return np.stack([one, x, 1.0 + x - c, np.abs(x - c), 1.0 - c, c, 1.0 - x], axis=1)
 
 
-def _collect(x, c):
-    z = _z_values(x, c)
-    orders = np.argsort(z, axis=1)
-    uniq, idx = np.unique(orders, axis=0, return_index=True)
-    return {tuple(int(v) for v in row): (float(x[i]), float(c[i]))
-            for row, i in zip(uniq, idx)}
-
-
-def enumerate_orderings(n_samples: int = 10 ** 6, seed: int = 20240904,
-                        grid: int = 2000) -> OrderingCounts:
-    """Count the feasible orderings by dense rejection sampling of (x, c),
-    cross-checked against an exhaustive scan of a grid x grid lattice.  The
-    lattice is offset by irrational fractions: every tie between two of the
-    seven values is an integer affine relation in (x, c), so golden-ratio and
-    sqrt(2) offsets make ties unreachable (rational midpoints do hit them,
-    e.g. the line 2c = 1 + x).  The counts are sample-independent; a mismatch
-    between the two scans raises."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, int(n_samples))
-    c = rng.uniform(0.5, 1.0, int(n_samples))
+def _scanned_orderings(x, c) -> tuple:
+    """The orderings met at the float points (x, c), split by branch."""
     lt = x < c
-    sampled_lt = _collect(x[lt], c[lt])
-    sampled_gt = _collect(x[~lt], c[~lt])
+    return tuple(set(map(tuple, np.argsort(_z_values(x[m], c[m]), axis=1).tolist()))
+                 for m in (lt, ~lt))
 
-    xs = (np.arange(grid) + 0.61803398874989484) / grid
-    cs = 0.5 + (np.arange(grid) + 0.41421356237309515) / (2.0 * grid)
-    xg, cg = (a.ravel() for a in np.meshgrid(xs, cs, indexing="ij"))
-    ltg = xg < cg
-    grid_lt = _collect(xg[ltg], cg[ltg])
-    grid_gt = _collect(xg[~ltg], cg[~ltg])
 
-    if set(sampled_lt) != set(grid_lt) or set(sampled_gt) != set(grid_gt):
-        raise InvariantError("sampled and grid ordering scans disagree")
+def enumerate_orderings(n_samples: int = 0, seed: int = 20240904,
+                        grid: int = 0) -> OrderingCounts:
+    """Count the feasible orderings exactly, by enumerating the cells of the
+    line arrangement of all ties in rational arithmetic (see
+    ``OrderingCounts`` for the domain 0 < x < 1, 1/2 < c < 1 and the key).
 
-    n_lt, n_gt = len(sampled_lt), len(sampled_gt)
-    witnesses = {**{k: v for k, v in sampled_lt.items()},
-                 **{k: v for k, v in sampled_gt.items()}}
+    Counts, orderings and witnesses always come from the exact enumeration.
+    A positive ``n_samples`` adds a scan of that many uniform random points
+    (seeded by ``seed``), and a positive ``grid`` a scan of a grid x grid
+    lattice offset by irrational fractions so that no lattice point lies on a
+    tie line; each scan must find exactly the exact orderings, or this raises
+    InvariantError."""
+    exact = [_arrangement_orderings(below) for below in (True, False)]
+    scans = []
+    if n_samples > 0:
+        rng = np.random.default_rng(seed)
+        scans.append(_scanned_orderings(rng.uniform(0.0, 1.0, int(n_samples)),
+                                        rng.uniform(0.5, 1.0, int(n_samples))))
+    if grid > 0:
+        xs = (np.arange(grid) + 0.61803398874989484) / grid
+        cs = 0.5 + (np.arange(grid) + 0.41421356237309515) / (2.0 * grid)
+        xg, cg = (a.ravel() for a in np.meshgrid(xs, cs, indexing="ij"))
+        scans.append(_scanned_orderings(xg, cg))
+    for scan in scans:
+        if scan != tuple(set(e) for e in exact):
+            raise InvariantError("an ordering scan disagrees with the exact enumeration")
+
+    witnesses = {order: _float_witness(order, point, below)
+                 for below, found in zip((True, False), exact)
+                 for order, point in found.items()}
+    n_lt, n_gt = len(exact[0]), len(exact[1])
     # each ordering splits the two clip levels over 8 intervals: 36 cell pairs
     return OrderingCounts(
         count_x_lt_c=n_lt, count_x_gt_c=n_gt,
         case_count=(n_lt + n_gt) * 36,
-        orderings_x_lt_c=tuple(sorted(sampled_lt)),
-        orderings_x_gt_c=tuple(sorted(sampled_gt)),
+        orderings_x_lt_c=tuple(sorted(exact[0])),
+        orderings_x_gt_c=tuple(sorted(exact[1])),
         witnesses=witnesses,
     )

@@ -98,6 +98,8 @@ def discrete(points, probs, merge_tol: float = 0.0) -> DiscreteDist:
     points (within merge_tol absolute) by summing their probabilities."""
     pts = np.asarray(points, dtype=float)
     pr = np.asarray(probs, dtype=float)
+    if pts.ndim != 1 or pts.shape != pr.shape or len(pts) == 0:
+        raise DomainError("support and probs must be matching 1-d arrays")
     order = np.argsort(pts, kind="stable")
     pts, pr = pts[order], pr[order]
     out_x, out_p = [pts[0]], [pr[0]]

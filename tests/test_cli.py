@@ -141,6 +141,12 @@ class TestVerify:
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    @pytest.mark.parametrize("suite", ["oracle", "delta"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_must_be_positive(self, suite, samples, capsys):
+        assert main(["verify", "--suite", suite, "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):

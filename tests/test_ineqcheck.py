@@ -1,12 +1,15 @@
 """Proof-level kernel identities, nonpositivity sweeps, and ordering counts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from vbesharp import (
     DomainError,
+    InvariantError,
     bregman_gap,
     expect_f,
     extreme_momfun,
@@ -251,6 +254,11 @@ class TestGrowthVsGap:
         assert 0.05 <= g8 / g6 <= 0.2
 
 
+@pytest.fixture(scope="module")
+def exact_orderings():
+    return enumerate_orderings()
+
+
 class TestOrderings:
     def test_counts(self):
         res = enumerate_orderings(10 ** 5, seed=1, grid=500)
@@ -276,3 +284,53 @@ class TestOrderings:
         for ordering, (x, c) in res.witnesses.items():
             z = np.array([1.0, x, 1 + x - c, abs(x - c), 1 - c, c, 1 - x])
             assert tuple(np.argsort(z)) == ordering
+
+    def test_witnesses_realise_orderings_exactly(self):
+        # the exact rationals of the float witnesses, not the floats' arithmetic
+        res = enumerate_orderings()
+        assert len(res.witnesses) == 12
+        for orders, below in ((res.orderings_x_lt_c, True),
+                              (res.orderings_x_gt_c, False)):
+            for ordering in orders:
+                x, c = res.witnesses[ordering]
+                assert 0.0 < x < 1.0 and 0.5 < c < 1.0 and (x < c) == below
+                z = _exact_values(Fraction(x), Fraction(c))
+                assert all(z[a] < z[b] for a, b in zip(ordering, ordering[1:]))
+
+    def test_key_is_argsort_not_rank(self):
+        # values (1, .3, .55, .45, .25, .75, .7) at (x, c) = (3/10, 3/4)
+        res = enumerate_orderings()
+        assert _exact_order(Fraction(3, 10), Fraction(3, 4)) == (4, 1, 3, 2, 6, 5, 0)
+        assert (4, 1, 3, 2, 6, 5, 0) in res.orderings_x_lt_c
+        assert (6, 1, 3, 2, 0, 5, 4) not in res.orderings_x_lt_c  # the ranks
+
+    def test_default_call_does_not_sample(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("default enumeration drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        res = enumerate_orderings()
+        assert (res.count_x_lt_c, res.count_x_gt_c, res.case_count) == (10, 2, 432)
+
+    def test_incomplete_scan_raises(self):
+        # ten points cannot meet all twelve orderings
+        with pytest.raises(InvariantError):
+            enumerate_orderings(n_samples=10)
+
+    @given(st.fractions(0, 1), st.fractions(Fraction(1, 2), 1))
+    def test_every_strict_ordering_is_enumerated(self, exact_orderings, x, c):
+        assume(0 < x < 1 and Fraction(1, 2) < c < 1 and x != c)
+        z = _exact_values(x, c)
+        assume(len(set(z)) == 7)
+        res = exact_orderings
+        orders = res.orderings_x_lt_c if x < c else res.orderings_x_gt_c
+        assert _exact_order(x, c) in orders
+
+
+def _exact_values(x, c):
+    return (Fraction(1), x, 1 + x - c, abs(x - c), 1 - c, c, 1 - x)
+
+
+def _exact_order(x, c):
+    z = _exact_values(x, c)
+    return tuple(sorted(range(7), key=z.__getitem__))

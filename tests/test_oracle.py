@@ -89,6 +89,12 @@ class TestDiscrete:
         with pytest.raises(DomainError):
             DiscreteDist(np.array([1.0, 2.0]), np.array([0.7, 0.7]))
 
+    def test_rejects_empty_and_mismatched_input(self):
+        with pytest.raises(DomainError):
+            discrete([], [])
+        with pytest.raises(DomainError):
+            discrete([1.0, 2.0], [0.5, 0.5, 0.0])
+
 
 class TestConvolve:
     def test_two_symmetric(self):
