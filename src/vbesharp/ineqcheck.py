@@ -88,9 +88,10 @@ def cross_gap(u, t, x, c):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
-    if np.any(u <= 0.0) or np.any(t <= 0.0):
+    # written as "not inside" so that nan is rejected too
+    if not (np.all(u > 0.0) and np.all(t > 0.0)):
         raise DomainError("clip levels must be positive")
-    if np.any(x <= 0.0) or np.any(x >= 1.0) or np.any(c <= 0.0) or np.any(c >= 1.0):
+    if not (np.all(x > 0.0) and np.all(x < 1.0) and np.all(c > 0.0) and np.all(c < 1.0)):
         raise DomainError("cross gap needs x, c in (0, 1)")
     lam_t, mu_t, nu_t = kernel_terms(t, 1.0, x, c)
     lam_u, mu_u, nu_u = kernel_terms(u, 1.0, x, c)
@@ -165,8 +166,10 @@ def sqrt_concavity_margins(t: float, z_grid) -> np.ndarray:
 class DeltaSample:
     """One evaluated cross-gap sample with its argument-ordering signature.
 
-    ``ordering_id`` is the argsort permutation of the seven kernel arguments
-    (1, x, 1+x-c, |x-c|, 1-c, c, 1-x) at (x, c); together with the cells of
+    ``ordering_id`` is the stable argsort permutation of the seven kernel
+    arguments (1, x, 1+x-c, |x-c|, 1-c, c, 1-x) at the floats (x, c),
+    evaluated in exact rationals, so that a float rounding near a tie does
+    not file the sample under the wrong ordering; together with the cells of
     the two clip levels it indexes the piecewise-polynomial case the sample
     falls in."""
 
@@ -185,10 +188,9 @@ class DeltaSample:
 
 def cross_gap_sample(u: float, t: float, x: float, c: float) -> DeltaSample:
     """Evaluate the cross-term gap at one point, tagged with its ordering."""
-    z = np.array([1.0, x, 1.0 + x - c, abs(x - c), 1.0 - c, c, 1.0 - x])
     return DeltaSample(u=float(u), t=float(t), x=float(x), c=float(c),
                        value=float(cross_gap(u, t, x, c)),
-                       ordering_id=tuple(int(i) for i in np.argsort(z)))
+                       ordering_id=_exact_order(float(x), float(c))[0])
 
 
 # --- seeded low-discrepancy sweeps --------------------------------------------
@@ -292,12 +294,18 @@ class OrderingCounts:
     witnesses: dict
 
 
+def _exact_order(x, c):
+    """The stable argsort permutation of the seven values at (x, c),
+    evaluated in exact rationals (ties keep index order), and the values."""
+    x, c = Fraction(x), Fraction(c)
+    z = (Fraction(1), x, 1 + x - c, abs(x - c), 1 - c, c, 1 - x)
+    return tuple(sorted(range(7), key=z.__getitem__)), z
+
+
 def _strict_order(x, c):
     """The argsort permutation of the seven values at (x, c), evaluated in
     exact rationals, or None when two of them tie."""
-    x, c = Fraction(x), Fraction(c)
-    z = (Fraction(1), x, 1 + x - c, abs(x - c), 1 - c, c, 1 - x)
-    order = tuple(sorted(range(7), key=z.__getitem__))
+    order, z = _exact_order(x, c)
     if all(z[a] < z[b] for a, b in zip(order, order[1:])):
         return order
     return None

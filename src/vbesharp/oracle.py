@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,7 +67,8 @@ _MERGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite-support distribution; support strictly increasing, probs sum 1."""
+    """Finite-support distribution; support finite and strictly increasing,
+    probs sum 1."""
 
     support: np.ndarray
     probs: np.ndarray
@@ -77,12 +78,14 @@ class DiscreteDist:
         p = np.asarray(self.probs, dtype=float)
         if s.ndim != 1 or s.shape != p.shape or len(s) == 0:
             raise DomainError("support and probs must be matching 1-d arrays")
-        if np.any(np.diff(s) <= 0):
-            raise DomainError("support must be strictly increasing")
-        if np.any(p < 0):
+        # a comparison with nan is false, and finite ends bound the rest
+        if not ((s[1:] > s[:-1]).all() and math.isfinite(s[0]) and math.isfinite(s[-1])):
+            raise DomainError("support must be finite and strictly increasing")
+        if (p < 0).any():
             raise DomainError("probabilities must be nonnegative")
-        if abs(math.fsum(p) - 1.0) > _PROB_TOL * len(p):
-            raise DomainError(f"probabilities sum to {math.fsum(p)}, not 1")
+        total = math.fsum(p.tolist())
+        if not abs(total - 1.0) <= _PROB_TOL * len(p):  # also rejects inf and nan
+            raise DomainError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", p)
 
@@ -94,22 +97,38 @@ class DiscreteDist:
 
 
 def discrete(points, probs, merge_tol: float = 0.0) -> DiscreteDist:
-    """Canonicalize (points, probs): sort and merge near-duplicate support
-    points (within merge_tol absolute) by summing their probabilities."""
+    """Canonicalize (points, probs): sort stably and merge near-duplicate
+    support points by summing their probabilities in index order.
+
+    Walking the sorted points, a point joins the current group iff it lies
+    within merge_tol (absolute) of the group's first point -- compared with
+    the group's first point, not its last -- and otherwise starts a group at
+    itself."""
     pts = np.asarray(points, dtype=float)
     pr = np.asarray(probs, dtype=float)
     if pts.ndim != 1 or pts.shape != pr.shape or len(pts) == 0:
         raise DomainError("support and probs must be matching 1-d arrays")
     order = np.argsort(pts, kind="stable")
     pts, pr = pts[order], pr[order]
-    out_x, out_p = [pts[0]], [pr[0]]
-    for x, p in zip(pts[1:], pr[1:]):
-        if x - out_x[-1] <= merge_tol:
-            out_p[-1] += p
-        else:
-            out_x.append(x)
-            out_p.append(p)
-    return DiscreteDist(np.array(out_x), np.array(out_p))
+    if not (math.isfinite(pts[0]) and math.isfinite(pts[-1])):  # nan sorts last
+        raise DomainError("support points must be finite")
+    # A gap above merge_tol always starts a group, since x - first >= x - prev
+    # (float subtraction is monotone).  A run of smaller gaps is one group when
+    # its span is within merge_tol; only a longer (chained) run is walked.
+    first = np.empty(len(pts), dtype=bool)
+    first[0] = True
+    np.greater(pts[1:] - pts[:-1], merge_tol, out=first[1:])
+    starts = first.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = len(pts) - 1
+    for k in (pts[ends] - pts[starts] > merge_tol).nonzero()[0].tolist():
+        g = pts[starts[k]]
+        for i in range(starts[k] + 1, ends[k] + 1):
+            if pts[i] - g > merge_tol:
+                first[i] = True
+                g = pts[i]
+    return DiscreteDist(pts[first], np.bincount(first.cumsum() - 1, weights=pr))
 
 
 def two_point(c: float, d: float) -> DiscreteDist:
@@ -140,13 +159,13 @@ def convolve(dists: Sequence[DiscreteDist], max_support: int = 10 ** 7) -> Discr
 
 def expect(dist: DiscreteDist) -> float:
     """Mean, by compensated summation."""
-    return math.fsum(p * x for x, p in zip(dist.support, dist.probs))
+    return math.fsum((dist.probs * dist.support).tolist())
 
 
 def expect_f(dist: DiscreteDist, f: MomentFunction) -> float:
     """E f(X), by compensated summation."""
     vals = np.asarray(f.eval(dist.support), dtype=float)
-    return math.fsum(p * v for v, p in zip(vals, dist.probs))
+    return math.fsum((dist.probs * vals).tolist())
 
 
 def _off_center(mean: float, points) -> bool:
@@ -572,6 +591,12 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray:
     return np.sum(np.abs(v) ** p, axis=-1) ** (1.0 / p)
 
 
+@lru_cache(maxsize=64)
+def _power_constants(p: float) -> tuple:
+    """(centering, sharp) constant values of |x|**p, computed once per p."""
+    return power_centering_constant(p).value, power_sharp_constant(p).value
+
+
 def check_sum_norm(vectors: Sequence[VectorDist], p: float, anchors,
                    max_support: int = 8, max_coords: int = 6,
                    max_dim: int = 4) -> CheckReport:
@@ -592,8 +617,7 @@ def check_sum_norm(vectors: Sequence[VectorDist], p: float, anchors,
         if v.points.shape[1] != dim:
             raise DomainError("all vectors must share one dimension")
     anchors = [np.asarray(a, dtype=float).reshape(dim) for a in anchors]
-    kappa = power_centering_constant(p).value
-    sharp = power_sharp_constant(p).value
+    kappa, sharp = _power_constants(float(p))
 
     shape = tuple(v.points.shape[0] for v in vectors)
     total = np.zeros(shape + (dim,))

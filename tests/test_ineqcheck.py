@@ -99,6 +99,21 @@ class TestCrossGap:
         with pytest.raises(DomainError):
             cross_gap_sample(0.3, 1.7, 1.4, 0.8)
 
+    def test_ordering_near_a_tie_is_exact(self):
+        # the floats 1+x-c and |x-c| both round to 0.5 here, but in exact
+        # rationals of x = 0.3 and c = 0.8, 1+x-c is the smaller
+        from vbesharp.ineqcheck import cross_gap_sample
+        assert cross_gap_sample(1, 1, 0.3, 0.8).ordering_id == (4, 1, 2, 3, 6, 5, 0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.3, 0.8), (1.0, 1.0, math.nan, 0.8),
+                                      (1.0, 1.0, 0.3, math.nan)])
+    def test_rejects_nan(self, args):
+        from vbesharp.ineqcheck import cross_gap_sample
+        with pytest.raises(DomainError):
+            cross_gap(*args)
+        with pytest.raises(DomainError):
+            cross_gap_sample(*args)
+
     def test_quadratic_levels_give_zero(self):
         # both levels at or beyond 2: every kernel argument is below 2
         assert float(cross_gap(2.2, 2.4, 0.5, 0.5)) == pytest.approx(0.0, abs=1e-14)

@@ -95,6 +95,101 @@ class TestDiscrete:
         with pytest.raises(DomainError):
             discrete([1.0, 2.0], [0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("points, probs", [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, math.nan]),
+        ([-math.inf, 1.0], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [math.inf, 0.5]),
+    ])
+    def test_rejects_non_finite_input(self, points, probs):
+        with pytest.raises(DomainError):
+            DiscreteDist(np.array(points), np.array(probs))
+        with pytest.raises(DomainError):
+            discrete(points, probs)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_matches_sequential_walk(self, data):
+        scale = data.draw(st.sampled_from(
+            [1e-15, 1e-14, 1e-13, 3e-13, 1e-12, 1e-9, 1e-3, 1.0, 1e3]))
+        merge_tol = data.draw(st.sampled_from([0.0, 1e-12]))
+        # cluster centres a few scale units apart, jittered within a unit,
+        # so that runs below 1e-12 chain past it at the smaller scales
+        centres = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=40))
+        jitter = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(centres),
+                                    max_size=len(centres)))
+        pts = [scale * (k + j) for k, j in zip(centres, jitter)]
+        dups = data.draw(st.lists(st.sampled_from(pts), max_size=10))
+        pts = pts + dups
+        w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(pts),
+                                        max_size=len(pts))))
+        probs = w / w.sum()
+        d = discrete(pts, probs, merge_tol=merge_tol)
+        ref_x, ref_p = _sequential_merge(pts, probs, merge_tol)
+        assert [v.hex() for v in d.support] == [v.hex() for v in ref_x]
+        assert [v.hex() for v in d.probs] == [v.hex() for v in ref_p]
+
+    def test_chained_run_compares_with_first_point(self):
+        # gaps of 0.6e-12 chain across 1.8e-12: 0 and 0.6e-12 group, then
+        # 1.2e-12 is beyond 1e-12 of the group's first point
+        d = discrete([0.0, 0.6e-12, 1.2e-12, 1.8e-12], [0.25] * 4, merge_tol=1e-12)
+        np.testing.assert_array_equal(d.support, [0.0, 1.2e-12])
+        np.testing.assert_array_equal(d.probs, [0.5, 0.5])
+
+
+def _sequential_merge(points, probs, merge_tol):
+    """The point-by-point merge walk that `discrete` must reproduce."""
+    pts = np.asarray(points, dtype=float)
+    pr = np.asarray(probs, dtype=float)
+    order = np.argsort(pts, kind="stable")
+    pts, pr = pts[order], pr[order]
+    out_x, out_p = [pts[0]], [pr[0]]
+    for x, p in zip(pts[1:], pr[1:]):
+        if x - out_x[-1] <= merge_tol:
+            out_p[-1] += p
+        else:
+            out_x.append(x)
+            out_p.append(p)
+    return [float(v) for v in out_x], [float(v) for v in out_p]
+
+
+class TestBitIdenticalOracle:
+    """lhs and rhs pinned as float.hex, so that a rewrite of the merge or the
+    reductions that is not bit-identical shows."""
+
+    SPREADS_12 = [(1.0, 1.0), (1.0, 1.0), (0.5, 1.5), (1.5, 0.5), (0.25, 0.75),
+                  (2.0, 3.0), (1.0, 1.0), (0.3, 0.7), (0.7, 0.3), (4.0, 0.5),
+                  (0.125, 2.0), (1.0, 1.0)]
+    SPREADS_SMALL = [(20.0, 30.0), (7.0, 13.0), (11.0, 5.0), (4.0, 6.0), (9.0, 9.0)]
+
+    def test_twelve_law_main_inequality(self):
+        f = power_momfun(1.5)
+        rep = check_main_inequality(
+            f, [two_point(c, d) for c, d in self.SPREADS_12],
+            power_sharp_constant(1.5).value)
+        assert rep.lhs.hex() == "0x1.9a623337fa24dp+2"
+        assert rep.rhs.hex() == "0x1.d5e17b0d7cbb6p+3"
+
+    def test_merging_convolution_at_small_scale(self):
+        laws = [two_point(1e-13 * c, 1e-13 * d) for c, d in self.SPREADS_SMALL]
+        out = convolve(laws)  # 32 product atoms merge into 8
+        assert [v.hex() for v in out.support] == [
+            "-0x1.66e16eb1a8a6fp-38", "-0x1.ec94ca210599ep-39",
+            "-0x1.de81e8ece0debp-40", "-0x1.19799812dea0fp-41",
+            "0x1.faa7ab552a556p-41", "0x1.5fd7fe1796496p-39",
+            "0x1.ec94ca21059a0p-39", "0x1.74f44fe5cd624p-38"]
+        assert [v.hex() for v in out.probs] == [
+            "0x1.f333333333331p-5", "0x1.d28f5c28f5c26p-3",
+            "0x1.ae76c8b43957fp-3", "0x1.8b851eb851eb8p-4",
+            "0x1.170a3d70a3d70p-3", "0x1.051eb851eb851p-3",
+            "0x1.7b645a1cac082p-4", "0x1.8a3d70a3d70a2p-5"]
+        rep = check_main_inequality(power_momfun(1.5), laws,
+                                    power_sharp_constant(1.5).value)
+        assert rep.lhs.hex() == "0x1.4c99ca73cb09fp-58"
+        assert rep.rhs.hex() == "0x1.0d2e0a3c1509ap-57"
+
 
 class TestConvolve:
     def test_two_symmetric(self):
@@ -469,6 +564,17 @@ class TestSumNorm:
         for anchors in ([np.zeros(2)] * 2,
                         [np.median(v.points, axis=0) for v in vecs]):
             assert check_sum_norm(vecs, 1.7, anchors).passed
+
+    def test_repeated_calls_agree(self):
+        rng = np.random.default_rng(11)
+        vecs = [VectorDist(rng.uniform(-1, 1, (2, 3)), np.array([0.4, 0.6]))
+                for _ in range(3)]
+        anchors = [np.zeros(3)] * 3
+        first = check_sum_norm(vecs, 1.37, anchors)
+        second = check_sum_norm(vecs, 1.37, anchors)
+        assert first == second
+        assert first.constant_used == (power_centering_constant(1.37).value
+                                       * power_sharp_constant(1.37).value)
 
     def test_dimension_cap(self):
         vecs = [VectorDist(np.zeros((2, 5)) + np.arange(5), np.array([0.5, 0.5]))]
