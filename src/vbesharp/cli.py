@@ -9,8 +9,9 @@ Subcommands:
 
 Output files are CSV (or JSON lines) with '#' metadata headers recording the
 tool version, the seed, and the configuration; identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  VBESHARP_OUT_DIR sets the default output directory.
+byte-identical files.  Exit codes: 0 success, 1 verification failure or a
+failed internal invariant, 2 usage error.  VBESHARP_OUT_DIR sets the default
+output directory.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .constants import (
     vbe_D,
     vbe_constant,
 )
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .momfun import (
     AltSplineParams,
     altspline_momfun,
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_FAIL
 
 
 if __name__ == "__main__":

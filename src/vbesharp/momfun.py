@@ -17,6 +17,8 @@ pinned down by ``gamma((x, oo]) = f''(x) / 2``.  This module provides:
   built from a prescribed second derivative;
 * the mixing-measure representation in both directions (``gamma_of`` /
   ``momfun_of_gamma``);
+* one piecewise-polynomial evaluator behind the alternating spline and the
+  moment function of a measure made of atoms and step densities;
 * the effective exponent of the alternating spline, which oscillates between
   3/2 and 5/3 far from the origin.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,10 +70,13 @@ def _check_clip_level(t) -> float:
 
 
 def _clipped_square(t, x):
-    # Unchecked kernel of clipped_square; t may be an array.  At t = inf the
-    # clipped part (|x| - inf)_+ is 0, so no branch is needed.
+    # Unchecked kernel of clipped_square; t may be an array.  With m = min(|x|, t)
+    # the value m*(2|x| - m) is x**2 exactly up to the clip and t*(2|x| - t)
+    # beyond it, so nothing cancels however far |x| lies past t; t = inf needs
+    # no branch.
     ax = np.abs(x)
-    return ax * ax - np.square(np.maximum(ax - t, 0.0))
+    m = np.minimum(ax, t)
+    return m * (2.0 * ax - m)
 
 
 def clipped_square(t, x):
@@ -131,6 +136,48 @@ class MomentFunction:
 
     def __call__(self, x):
         return self.eval(x)
+
+
+def _piecewise_momfun(bp, c0, c1, top=math.inf, **fields) -> MomentFunction:
+    """Moment function with f(0) = f'(0) = 0 and, on the piece starting at
+    bp[j], f''(x) = c0[j] + c1[j]*(|x| - bp[j]); the last piece ends at top.
+
+    bp increases from bp[0] = 0.  Slope and value at each breakpoint are
+    accumulated once; an evaluation finds its piece by binary search and works
+    in Horner form in d = |x| - bp[j], so no power of d is formed before it is
+    scaled.  |x| >= top raises.  ``fields`` are the MomentFunction fields
+    besides the evaluators.
+    """
+    bp = np.asarray(bp, dtype=float)
+    c0 = np.asarray(c0, dtype=float)
+    c1 = np.asarray(c1, dtype=float)
+    a2, a3 = 0.5 * c0, c1 / 6.0
+    h = np.diff(bp)
+    slope = np.concatenate([[0.0], np.cumsum(h * (c0[:-1] + h * (0.5 * c1[:-1])))])
+    value = np.concatenate(
+        [[0.0], np.cumsum(h * (slope[:-1] + h * (a2[:-1] + h * a3[:-1])))])
+
+    def _piece(x):
+        ax = np.abs(x)
+        if np.any(ax >= top):
+            raise DomainError(
+                f"{fields['label']} evaluation supported on |x| < {top:.6g}")
+        j = np.searchsorted(bp, ax, side="right") - 1
+        return j, ax - bp[j]
+
+    def f(x):
+        j, d = _piece(x)
+        return value[j] + d * (slope[j] + d * (a2[j] + d * a3[j]))
+
+    def fp(x):
+        j, d = _piece(x)
+        return np.sign(x) * (slope[j] + d * (c0[j] + d * (0.5 * c1[j])))
+
+    def fpp(x):
+        j, d = _piece(x)
+        return c0[j] + c1[j] * d
+
+    return MomentFunction(eval=f, deriv=fp, second_deriv=fpp, **fields)
 
 
 def power_momfun(p: float) -> MomentFunction:
@@ -215,48 +262,14 @@ def altspline_momfun(params: AltSplineParams) -> MomentFunction:
 
     On [x_j, x_{j+1}) the second derivative is (x_j + 1)**(-2/3), so it
     alternates between the decay profiles (|x|+1)**(-2/3) and (|x|+1)**(-1/3).
-    Segments are located by binary search; evaluation beyond the last
-    generated breakpoint raises.
+    Evaluation at or beyond the last generated breakpoint raises; raise
+    ``max_level`` to extend.
     """
     bp = params.breakpoints
     curv = (bp[:-1] + 1.0) ** (-2.0 / 3.0)          # f'' per segment
-    seg_slope_inc = np.diff(bp) * curv              # f' gained across segment
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    slope_pref = np.concatenate([[0.0], np.cumsum(seg_slope_inc)])
-    # f(x) on segment j collapses to 0.5*(x - x_j)^2*curv_j + x*P_j - Q_j
-    offset_pref = np.concatenate([[0.0], np.cumsum(mids * seg_slope_inc)])
-    top = bp[-1]
-
-    def _segment(ax):
-        j = np.searchsorted(bp, ax, side="right") - 1
-        return j
-
-    def _check_range(ax):
-        if np.any(ax >= top):
-            raise DomainError(
-                f"altspline evaluation supported on |x| < {top:.6g}; "
-                "raise max_level to extend")
-
-    def f(x):
-        ax = np.abs(x)
-        _check_range(ax)
-        j = _segment(ax)
-        return 0.5 * (ax - bp[j]) ** 2 * curv[j] + ax * slope_pref[j] - offset_pref[j]
-
-    def fp(x):
-        ax = np.abs(x)
-        _check_range(ax)
-        j = _segment(ax)
-        return np.sign(x) * ((ax - bp[j]) * curv[j] + slope_pref[j])
-
-    def fpp(x):
-        ax = np.abs(x)
-        _check_range(ax)
-        j = _segment(ax)
-        return curv[j]
-
-    return MomentFunction(
-        eval=f, deriv=fp, second_deriv=fpp, kind="altspline", param=params,
+    return _piecewise_momfun(
+        bp[:-1], curv, np.zeros_like(curv), top=bp[-1],
+        kind="altspline", param=params,
         s_f=float(bp[1]),  # f'' is constant on (0, x_1): no measure below x_1
         label=f"altspline(x1={params.x1:g})",
     )
@@ -398,31 +411,6 @@ class GammaMeasure:
         return total
 
 
-def _step_mix_eval(edges, values, x):
-    """integral of clipped_square(t, x) over a step density, in closed form."""
-    v = np.abs(x)
-    a = edges[:-1]
-    b = edges[1:]
-    # t below |x|: clipped_square = 2 t v - t^2
-    hi = np.minimum(b, v)
-    lo = np.minimum(a, v)
-    linear = v * (hi * hi - lo * lo) - (hi ** 3 - lo ** 3) / 3.0
-    # t at or above |x|: clipped_square = v^2
-    quad_len = (b - np.maximum(a, v)).clip(min=0.0)
-    return float(np.sum(values * (linear + v * v * quad_len)))
-
-
-def _step_mix_slope(edges, values, x):
-    """integral of 2*min(t, x) over a step density, x >= 0."""
-    a = edges[:-1]
-    b = edges[1:]
-    hi = np.minimum(b, x)
-    lo = np.minimum(a, x)
-    below = hi * hi - lo * lo                      # integral of 2t dt
-    above = 2.0 * x * (b - np.maximum(a, x)).clip(min=0.0)
-    return float(np.sum(values * (below + above)))
-
-
 def _check_density_integrable(gamma: GammaMeasure):
     # a divergent quadrature can return silently wrong values, so probe the
     # mass near 0 at two cutoffs and require convergence
@@ -445,74 +433,65 @@ def _check_density_integrable(gamma: GammaMeasure):
 def momfun_of_gamma(gamma: GammaMeasure) -> MomentFunction:
     """Assemble the moment function of a mixing measure.
 
-    Atom sums are exact; step densities integrate in closed form; callable
-    densities use adaptive quadrature split at the density breakpoints and at
-    t = |x| (the kink of the clipped square in t), with the declared tail mass
-    contributing exactly x**2 (resp. 2x) beyond the quadrature range.
+    Atoms and a step density give a piecewise polynomial: between consecutive
+    finite atom locations and step edges, f''/2 = gamma((|x|, oo]) is linear in
+    |x|.  A callable density adds adaptive quadrature split at the density
+    breakpoints and at t = |x| (the kink of the clipped square in t), with the
+    declared tail mass contributing exactly x**2 (resp. 2x) beyond the
+    quadrature range.
     """
     _check_density_integrable(gamma)
     if not math.isfinite(gamma.clip_integral()):
         raise InvariantError("mixing measure fails integrability near 0")
 
-    def f_scalar(x):
-        v = abs(x)
-        total = 0.0
-        for t, w in gamma.atoms:
-            total += w * float(clipped_square(t, v))
-        if gamma.step_edges is not None:
-            total += _step_mix_eval(gamma.step_edges, gamma.step_values, v)
-        if gamma.density is not None:
-            T = max([v, *gamma.density_breakpoints]) if v > 0 else max(
-                [1.0, *gamma.density_breakpoints])
-            if v > 0:
-                pts = sorted({b for b in (*gamma.density_breakpoints, v) if 0.0 < b < T})
-                val, _ = quad(lambda t: float(clipped_square(t, v)) * gamma.density(t),
-                              0.0, T, points=pts or None,
-                              epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
-                total += val
-            if gamma.density_tail_mass is not None:
-                total += v * v * gamma.density_tail_mass(T)
-        return total
-
-    def fp_scalar(x):
-        v = abs(x)
-        if v == 0.0:
-            return 0.0
-        total = 0.0
-        for t, w in gamma.atoms:
-            total += w * 2.0 * min(t, v)
-        if gamma.step_edges is not None:
-            total += _step_mix_slope(gamma.step_edges, gamma.step_values, v)
-        if gamma.density is not None:
-            T = max([v, *gamma.density_breakpoints])
-            pts = sorted({b for b in (*gamma.density_breakpoints, v) if 0.0 < b < T})
-            val, _ = quad(lambda t: 2.0 * min(t, v) * gamma.density(t),
-                          0.0, T, points=pts or None,
-                          epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
-            total += val
-            if gamma.density_tail_mass is not None:
-                total += 2.0 * v * gamma.density_tail_mass(T)
-        return math.copysign(total, x)
-
-    def fpp_scalar(x):
-        return 2.0 * gamma.mass_above(abs(x))
-
+    # the atoms and the step density: f''/2 is linear between these breakpoints
+    pieces = replace(gamma, density=None, density_breakpoints=(),
+                     density_tail_mass=None)
     support_starts = [t for t, _ in gamma.atoms]
+    bp = np.unique([0.0, *(t for t in support_starts if t < math.inf),
+                    *(() if gamma.step_edges is None else gamma.step_edges)])
+    c1 = np.zeros_like(bp)
     if gamma.step_edges is not None:
-        idx = np.nonzero(gamma.step_values > 0.0)[0]
+        e, v = gamma.step_edges, gamma.step_values
+        cell = np.searchsorted(e, bp, side="right") - 1
+        inside = (cell >= 0) & (cell < len(v))
+        c1[inside] = -2.0 * v[cell[inside]]
+        idx = np.nonzero(v > 0.0)[0]
         if len(idx):
-            support_starts.append(float(gamma.step_edges[idx[0]]))
+            support_starts.append(float(e[idx[0]]))
     if gamma.density is not None:
         support_starts.append(0.0)
-
-    return MomentFunction(
-        eval=_vectorize_scalar(f_scalar),
-        deriv=_vectorize_scalar(fp_scalar),
-        second_deriv=_vectorize_scalar(fpp_scalar),
+    f = _piecewise_momfun(
+        bp, [2.0 * pieces.mass_above(b) for b in bp], c1,
         kind="from_gamma", param=gamma,
         s_f=min(support_starts) if support_starts else math.inf,
         label="from_gamma",
     )
+    if gamma.density is None:
+        return f
+
+    def density_part(kernel, tail):
+        # integral of kernel(t, |x|) over the density, plus tail(|x|) times
+        # the declared mass beyond the quadrature range
+        def part(x):
+            v = abs(x)
+            if v == 0.0:
+                return 0.0
+            T = max([v, *gamma.density_breakpoints])
+            pts = sorted({b for b in (*gamma.density_breakpoints, v) if 0.0 < b < T})
+            val, _ = quad(lambda t: kernel(t, v) * gamma.density(t), 0.0, T,
+                          points=pts or None, epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
+            if gamma.density_tail_mass is not None:
+                val += tail(v) * gamma.density_tail_mass(T)
+            return val
+        return _vectorize_scalar(part)
+
+    dens_f = density_part(lambda t, v: float(_clipped_square(t, v)), lambda v: v * v)
+    dens_fp = density_part(lambda t, v: 2.0 * min(t, v), lambda v: 2.0 * v)
+    return replace(
+        f, eval=lambda x: f.eval(x) + dens_f(x),
+        deriv=lambda x: f.deriv(x) + np.sign(x) * dens_fp(x),
+        second_deriv=_vectorize_scalar(lambda x: 2.0 * gamma.mass_above(abs(x))))
 
 
 # --- mixing-measure recovery -------------------------------------------------

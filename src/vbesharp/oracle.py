@@ -419,20 +419,20 @@ def _resolve_constants(f: Optional[MomentFunction], p: Optional[float],
         raise DomainError("supply exactly one of f or p")
     if p is not None:
         f = power_momfun(p)
+    if f.kind == "power" and (kappa is None or sharp is None):
+        power_kappa, power_sharp = _power_constants(f.param)
+        kappa = power_kappa if kappa is None else kappa
+        sharp = power_sharp if sharp is None else sharp
     if kappa is None:
-        if f.kind == "extreme":
-            kappa = centering_constant(f).value
-        elif f.kind == "power":
-            kappa = power_centering_constant(f.param).value
-        else:
+        if f.kind != "extreme":
             raise DomainError(
                 "no certified centering constant for this kind; pass kappa")
+        kappa = centering_constant(f).value
     if sharp is None:
-        if f.kind in ("extreme", "power"):
-            sharp = sharp_constant(f).value
-        else:
+        if f.kind != "extreme":
             raise DomainError(
                 "no certified sharp constant for this kind; pass sharp")
+        sharp = sharp_constant(f).value
     return f, float(kappa), float(sharp)
 
 

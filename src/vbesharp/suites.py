@@ -98,6 +98,21 @@ def main_inequality_suite(n: int = 10 ** 4, seed: int = 1, collect: bool = False
     return _run("main_inequality", n, seed, draw, collect)
 
 
+def _centred(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """x shifted to zero mean under probs, at the shifted points' own scale.
+
+    One subtraction leaves a mean of about 1e-16 of the drawn scale, which
+    exceeds the zero-mean tolerance when the centred points are much smaller
+    than the drawn ones; each further subtraction shrinks the mean to the
+    rounding of the points it now has."""
+    mean = math.fsum(p * v for p, v in zip(probs, x))
+    while True:
+        x = x - mean
+        mean = math.fsum(p * v for p, v in zip(probs, x))
+        if not oracle._off_center(mean, x):
+            return x
+
+
 def _random_tree(rng, depth: int, scale: float) -> oracle.MartingaleTree:
     def build(level: int) -> oracle.MartingaleTree:
         if level == depth:
@@ -107,7 +122,7 @@ def _random_tree(rng, depth: int, scale: float) -> oracle.MartingaleTree:
         probs = probs / math.fsum(probs)
         diffs = rng.uniform(-scale, scale, k)
         if level > 0:
-            diffs = diffs - math.fsum(p * d for p, d in zip(probs, diffs))
+            diffs = _centred(diffs, probs)
         children = tuple(
             (float(d), float(p), build(level + 1)) for d, p in zip(diffs, probs))
         return oracle.MartingaleTree(children=children)
@@ -141,8 +156,7 @@ def _random_zero_mean(rng, k: int, scale: float) -> oracle.DiscreteDist:
         pts = np.sort(rng.uniform(-scale, scale, k))
     probs = rng.uniform(0.05, 1.0, k)
     probs = probs / math.fsum(probs)
-    pts = pts - math.fsum(p * x for p, x in zip(probs, pts))
-    return oracle.discrete(pts, probs)
+    return oracle.discrete(_centred(pts, probs), probs)
 
 
 def centering_suite(n: int = 10 ** 3, seed: int = 3, collect: bool = False,

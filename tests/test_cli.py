@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from vbesharp import suites
 from vbesharp.cli import main
+from vbesharp.errors import InvariantError
 
 
 def _read_rows(path):
@@ -137,6 +139,20 @@ class TestVerify:
     def test_single_suite_exit_zero(self):
         assert main(["verify", "--suite", "delta", "--samples", "256",
                      "--seed", "3"]) == 0
+
+    def test_benchmark_seed_exit_zero(self):
+        # the tree suite once drew a law off-centre at its own scale here
+        assert main(["verify", "--suite", "oracle", "--samples", "1000",
+                     "--seed", "2077331747"]) == 0
+
+    def test_invariant_error_is_one_line(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantError("conditional mean 1e-3 of differences is not zero")
+
+        monkeypatch.setattr(suites, "tree_suite", broken)
+        assert main(["verify", "--suite", "oracle", "--samples", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: conditional mean 1e-3 of differences is not zero\n"
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "nope"]) == 2

@@ -1,10 +1,12 @@
 """Moment-function families, their calculus, and the mixing-measure maps."""
 
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vbesharp import (
     AltSplineParams,
@@ -26,6 +28,15 @@ from vbesharp import (
 )
 
 from conftest import fd_deriv, kink_free_log_grid
+
+# log-uniform magnitudes over thirty decades
+DECADES = st.floats(-15.0, 15.0).map(lambda e: 10.0 ** e)
+U = 2.0 ** -53
+
+
+def ulps(got, exact):
+    """|got - exact| in units in the last place of exact rounded to a double."""
+    return abs(Fraction(float(got)) - exact) / Fraction(math.ulp(float(exact)))
 
 
 class TestClippedSquare:
@@ -55,6 +66,27 @@ class TestClippedSquare:
         assert -fp <= v <= x * x + fp
         assert v <= 2.0 * t * abs(x) + fp
         assert v == float(clipped_square(t, -x))
+
+    @given(DECADES, DECADES, st.booleans())
+    @example(1.0, 1e16, False)
+    @example(1e-8, 1.0, True)
+    def test_exact_rationals(self, t, x, negative):
+        # m*(2|x| - m) with m = min(|x|, t): one rounding up to the clip, two
+        # beyond it, and nothing cancels however far |x| lies past t
+        T, X = Fraction(t), Fraction(x)
+        exact = X * X if X <= T else 2 * T * X - T * T
+        assert ulps(clipped_square(t, -x if negative else x), exact) <= 2
+
+    @given(DECADES, DECADES, DECADES, st.integers(-50, 50))
+    def test_homogeneous(self, t, x, lam, k):
+        # a power of two commutes with every rounding
+        two_k = 2.0 ** k
+        assert clipped_square(two_k * t, two_k * x) == two_k ** 2 * clipped_square(t, x)
+        # otherwise: 3u from rounding lam*t and lam*x (relative condition
+        # numbers at most 1 and 2), 2u per kernel evaluation, 2u for lam**2 * v
+        lhs = clipped_square(lam * t, lam * x)
+        rhs = lam * lam * clipped_square(t, x)
+        assert abs(lhs - rhs) <= 10 * U * rhs
 
     def test_small_clip_limit(self):
         # clipped_square(t, x)/(2t) converges to |x| with error exactly t/2
@@ -202,6 +234,49 @@ class TestAltSpline:
             ref, _ = self._reference_eval(x1, j, x)
             assert float(f.eval(x)) == pytest.approx(ref, rel=1e-12)
 
+    @staticmethod
+    def _exact(f, x):
+        """(f(x), f'(x)) in exact rationals from the spline's own float
+        breakpoints and curvatures, by the defining segment sums."""
+        bp = f.param.breakpoints
+        B = [Fraction(b) for b in bp]
+        C = [Fraction(float(f.second_deriv(b))) for b in bp[:-1]]
+        j = bisect.bisect_right(bp, x) - 1
+        X = Fraction(x)
+        slope = sum(C[k] * (B[k + 1] - B[k]) for k in range(j)) + C[j] * (X - B[j])
+        value = sum(C[k] * (B[k + 1] - B[k]) * (X - (B[k] + B[k + 1]) / 2)
+                    for k in range(j)) + C[j] * (X - B[j]) ** 2 / 2
+        return value, slope
+
+    @settings(deadline=None)
+    @given(st.sampled_from([0.1, 0.15, 0.2]), st.floats(0.0, 1.0))
+    def test_exact_rationals(self, x1, u):
+        # worst seen over 75000 log-uniform points: 3.6 ulps for f, 2.0 for f'
+        f = altspline_momfun(AltSplineParams(x1))
+        lo, hi = math.log(1e-3), math.log(0.999 * f.param.breakpoints[-1])
+        x = math.exp(lo + u * (hi - lo))
+        value, slope = self._exact(f, x)
+        assert ulps(f.eval(x), value) <= 4
+        assert ulps(f.deriv(x), slope) <= 4
+
+    def test_exact_rationals_at_breakpoints(self):
+        for x1 in (0.1, 0.15, 0.2):
+            f = altspline_momfun(AltSplineParams(x1))
+            for b in f.param.breakpoints[1:-1]:
+                for x in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
+                    value, slope = self._exact(f, x)
+                    assert ulps(f.eval(x), value) <= 4, (x1, x)
+                    assert ulps(f.deriv(x), slope) <= 4, (x1, x)
+
+    def test_no_overflow_below_top(self):
+        # squaring |x| - x_j overflowed from |x| ~ 1.4e154, below top = 1.46e162
+        f = altspline_momfun(AltSplineParams(0.2))
+        value, slope = self._exact(f, 1e160)
+        assert ulps(f.eval(1e160), value) <= 4
+        assert ulps(f.eval(-1e160), value) <= 4
+        assert ulps(f.deriv(1e160), slope) <= 4
+        assert float(f.eval(1e160)) == pytest.approx(4.41e265, rel=1e-3)
+
     def test_range_guard(self):
         f = altspline_momfun(AltSplineParams(0.1, max_level=4))
         with pytest.raises(DomainError):
@@ -310,6 +385,35 @@ class TestMixtureAssembly:
         f = momfun_of_gamma(g)
         for x in np.geomspace(0.1, 10.0, 9):
             assert float(f.eval(x)) == pytest.approx(x ** 1.5, rel=1e-6)
+
+    def test_atoms_and_steps_match_exact_integrals(self):
+        # an atom inside a step cell, one beyond it, and a square component
+        atoms = ((0.3, 0.5), (2.0, 0.25), (math.inf, 0.1))
+        edges, values = np.array([0.1, 0.5, 1.0, 4.0]), np.array([0.4, 0.2, 0.05])
+        f = momfun_of_gamma(GammaMeasure(atoms=atoms, step_edges=edges,
+                                         step_values=values))
+        xs = [*np.geomspace(1e-4, 1e6, 41), 0.1, 0.3, 0.5, 1.0, 2.0, 4.0]
+        got = [np.asarray(f.eval(xs)), np.asarray(f.deriv(xs)),
+               np.asarray(f.second_deriv(xs))]
+        for i, x in enumerate(xs):
+            X = Fraction(x)
+            exact = [Fraction(0)] * 3
+            for t, w in atoms:
+                m = X if math.isinf(t) else min(Fraction(t), X)
+                exact[0] += Fraction(w) * m * (2 * X - m)
+                exact[1] += 2 * Fraction(w) * m
+                exact[2] += 2 * Fraction(w) * (t > x)
+            for a, b, v in zip(edges[:-1], edges[1:], values):
+                A, B, V = Fraction(a), Fraction(b), Fraction(v)
+                lo, hi = min(A, X), min(B, X)     # the cell's part below |x|
+                above = max(B - max(A, X), 0)     # and its length above
+                exact[0] += V * (X * (hi * hi - lo * lo) - (hi ** 3 - lo ** 3) / 3
+                                 + X * X * above)
+                exact[1] += V * (hi * hi - lo * lo + 2 * X * above)
+                exact[2] += 2 * V * above
+            for k in range(3):
+                assert abs(Fraction(float(got[k][i])) - exact[k]) <= 1e-15 * exact[k], (k, x)
+            assert float(f.deriv(-x)) == -float(got[1][i])
 
     def test_atom_validation(self):
         with pytest.raises(DomainError):

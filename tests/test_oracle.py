@@ -526,6 +526,18 @@ class TestConcentration:
             assert np.all(rr <= rs + 1e-14)
         assert relaxed.passed
 
+    def test_power_constants_from_p_match_passed_in(self):
+        margs = [DiscreteDist(np.array([-1.0, 2.0]), np.array([0.6, 0.4]))
+                 for _ in range(2)]
+        table = np.array([[0.0, 1.0], [2.0, 0.5]])
+        first = check_concentration(table, margs, [-1.0, 2.0], p=1.5)
+        again = check_concentration(table, margs, [-1.0, 2.0], p=1.5)
+        passed_in = check_concentration(
+            table, margs, [-1.0, 2.0], p=1.5,
+            kappa=power_centering_constant(1.5).value,
+            sharp=power_sharp_constant(1.5).value)
+        assert first == again == passed_in
+
     def test_anchor_outside_support_needs_callable(self):
         margs = [DiscreteDist(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))]
         with pytest.raises(DomainError):

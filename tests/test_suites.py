@@ -28,6 +28,12 @@ def test_main_inequality_suite_clean():
     assert res.min_slack >= -1e-12
 
 
+def test_tree_suite_centres_at_its_own_scale():
+    # one centring subtraction left a mean of ~1e-16 of the drawn scale,
+    # above the zero-mean tolerance of these much smaller centred points
+    assert tree_suite(100, seed=134).passed
+
+
 def test_tree_suite_includes_alternating_family():
     res = tree_suite(100, seed=32,
                      funcs=[altspline_momfun(AltSplineParams(0.1))])
