@@ -61,6 +61,22 @@ def _header(args, extra: str = "") -> list:
     return lines
 
 
+_POWER_COLUMNS = ("gap_argmax", "sharp", "lower_1", "lower_2", "upper_1",
+                  "upper_2", "envelope", "vbe_D", "vbe_constant", "centering")
+
+
+def _power_row(p: float) -> tuple:
+    """The _POWER_COLUMNS at p in (1, 2].  At p = 2 the gap has no
+    maximizer, and the sharp constant, its bounds and the envelope are 1."""
+    centering = power_centering_constant(p).value  # DomainError outside (1, 2]
+    if p == 2.0:
+        head = (math.nan,) + (1.0,) * 6
+    else:
+        b = power_constant_bounds(p)
+        head = (b.x_p, b.sharp, b.lower_1, b.lower_2, b.upper_1, b.upper_2, b.envelope)
+    return head + (vbe_D(p), vbe_constant(p), centering)
+
+
 def _cmd_constants(args) -> int:
     p = args.p
     if (p is None) == (args.t is None):
@@ -74,17 +90,9 @@ def _cmd_constants(args) -> int:
                 ("sharp_constant", float(sharp_constant(f).value)),
                 ("centering_constant", centering_constant(f).value)]
     else:
-        rows = [("p", p), ("sharp_constant", power_sharp_constant(p).value)]
-        if p < 2.0:
-            b = power_constant_bounds(p)
-            rows += [("gap_argmax", b.x_p), ("lower_1", b.lower_1),
-                     ("lower_2", b.lower_2), ("upper_1", b.upper_1),
-                     ("upper_2", b.upper_2), ("envelope", b.envelope)]
-        else:
-            rows += [("gap_argmax", math.nan), ("lower_1", 1.0), ("lower_2", 1.0),
-                     ("upper_1", 1.0), ("upper_2", 1.0), ("envelope", 1.0)]
-        rows += [("vbe_D", vbe_D(p)), ("vbe_constant", vbe_constant(p)),
-                 ("centering_constant", power_centering_constant(p).value)]
+        gap_argmax, sharp, *rest, centering = _power_row(p)
+        rows = [("p", p), ("sharp_constant", sharp), ("gap_argmax", gap_argmax),
+                *zip(_POWER_COLUMNS[2:-1], rest), ("centering_constant", centering)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {format_value(float(value))}")
@@ -168,21 +176,9 @@ def _cmd_figure(args) -> int:
 def _cmd_table(args) -> int:
     path = _out_path(args.out, "power_constants.csv")
     grid = _p_grid(args, default_from=1.01, default_to=2.0)
-    columns = ("p", "gap_argmax", "sharp", "lower_1", "lower_2", "upper_1",
-               "upper_2", "envelope", "vbe_D", "vbe_constant", "centering")
-    rows = []
-    for p in grid:
-        if p >= 2.0:
-            p = 2.0
-            row = (p, math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-                   vbe_D(p), vbe_constant(p), 1.0)
-        else:
-            b = power_constant_bounds(p)
-            row = (p, b.x_p, b.sharp, b.lower_1, b.lower_2, b.upper_1,
-                   b.upper_2, b.envelope, vbe_D(p), vbe_constant(p),
-                   power_centering_constant(p).value)
-        rows.append(row)
-    write_csv(path, columns, rows, _header(args, f"grid={grid[0]}..{grid[-1]}"))
+    rows = [(p, *_power_row(p)) for p in (min(q, 2.0) for q in grid)]
+    write_csv(path, ("p",) + _POWER_COLUMNS, rows,
+              _header(args, f"grid={grid[0]}..{grid[-1]}"))
     sharp = [r[2] for r in rows]
     if not all(b < a for a, b in zip(sharp, sharp[1:])):
         print("error: sharp constant column is not strictly decreasing",

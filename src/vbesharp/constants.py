@@ -8,7 +8,8 @@ whose normalized supremum sup_{0<x<s} gap / f(s) over all scales s is the
 best possible factor in  E f(S_n) <= E f(X_1) + C * sum_{j>=2} E f(X_j)  for
 v-martingales.  For power functions the supremum collapses by homogeneity to
 a one-dimensional root-find; for clipped squares it has a closed form; for
-everything else the outer scale sweep yields a certified lower bound.
+everything else the outer scale sweep returns its best value, a lower bound
+of the supremum that nothing certifies.
 
 Also provided: the classical Fourier-side constants D(p) and 1/(1-D(p))_+ of
 the original von Bahr-Esseen bound, the centering constants in
@@ -56,7 +57,8 @@ class ConstantResult:
 
     ``witness`` lists (name, value) argmax/argmin coordinates.  ``method`` is
     one of closed_form / root_find / golden_section / grid_sup / nested_opt;
-    grid_sup values are certified lower bounds of the true supremum.
+    grid_sup values are the best values of finite sweeps: lower bounds of
+    the true supremum, not certified ones.
     ``attained_in_limit`` marks suprema that are approached, not attained
     (e.g. the clipped-square families).
     """
@@ -168,9 +170,10 @@ def sharp_constant(f: MomentFunction, s_max: float = 1e4, n_s: int = 200) -> Con
     scale grows) and the pure square gives 1; powers reduce by homogeneity to
     the one-dimensional problem solved in power_sharp_constant.  Otherwise the
     scale profile is swept on a log grid over (s_f, s_max] with golden
-    refinement around the best grid point, and the result is a certified
-    lower bound (always within [1, 2]).  The sweep never stops early on a
-    decrease: the profile need not be monotone in s.
+    refinement around the best grid point, and the result is the sweep's
+    best value (always within [1, 2]): a lower bound of the supremum, which
+    the sweep does not certify and may miss beyond s_max.  The sweep never
+    stops early on a decrease: the profile need not be monotone in s.
     """
     if f.kind == "extreme":
         if math.isinf(f.param):
@@ -362,7 +365,8 @@ def centering_constant(f: MomentFunction,
     1 and clipped squares give 2, a supremum reached only in a double limit.
     Otherwise swept over a log grid of spreads c and scale ratios s/c with
     the exact inner minimizer, then sharpened by two rounds of coordinate
-    golden refinement; the result is a certified lower bound.
+    golden refinement; the result is the sweep's best value, a lower bound
+    of the supremum that nothing certifies.
     """
     if f.kind == "extreme":
         if math.isinf(f.param):

@@ -358,45 +358,12 @@ def _float_witness(order, point, below: bool) -> tuple:
     return x, c
 
 
-def _z_values(x, c):
-    one = np.ones_like(x)
-    return np.stack([one, x, 1.0 + x - c, np.abs(x - c), 1.0 - c, c, 1.0 - x], axis=1)
-
-
-def _scanned_orderings(x, c) -> tuple:
-    """The orderings met at the float points (x, c), split by branch."""
-    lt = x < c
-    return tuple(set(map(tuple, np.argsort(_z_values(x[m], c[m]), axis=1).tolist()))
-                 for m in (lt, ~lt))
-
-
-def enumerate_orderings(n_samples: int = 0, seed: int = 20240904,
-                        grid: int = 0) -> OrderingCounts:
+def enumerate_orderings() -> OrderingCounts:
     """Count the feasible orderings exactly, by enumerating the cells of the
     line arrangement of all ties in rational arithmetic (see
     ``OrderingCounts`` for the domain 0 < x < 1, 1/2 < c < 1 and the key).
-
-    Counts, orderings and witnesses always come from the exact enumeration.
-    A positive ``n_samples`` adds a scan of that many uniform random points
-    (seeded by ``seed``), and a positive ``grid`` a scan of a grid x grid
-    lattice offset by irrational fractions so that no lattice point lies on a
-    tie line; each scan must find exactly the exact orderings, or this raises
-    InvariantError."""
+    Each ordering comes with a float witness checked in exact rationals."""
     exact = [_arrangement_orderings(below) for below in (True, False)]
-    scans = []
-    if n_samples > 0:
-        rng = np.random.default_rng(seed)
-        scans.append(_scanned_orderings(rng.uniform(0.0, 1.0, int(n_samples)),
-                                        rng.uniform(0.5, 1.0, int(n_samples))))
-    if grid > 0:
-        xs = (np.arange(grid) + 0.61803398874989484) / grid
-        cs = 0.5 + (np.arange(grid) + 0.41421356237309515) / (2.0 * grid)
-        xg, cg = (a.ravel() for a in np.meshgrid(xs, cs, indexing="ij"))
-        scans.append(_scanned_orderings(xg, cg))
-    for scan in scans:
-        if scan != tuple(set(e) for e in exact):
-            raise InvariantError("an ordering scan disagrees with the exact enumeration")
-
     witnesses = {order: _float_witness(order, point, below)
                  for below, found in zip((True, False), exact)
                  for order, point in found.items()}

@@ -13,6 +13,7 @@ c/(c+d) at d; it is the extremal building block throughout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,6 +64,11 @@ _PROB_TOL = 1e-14
 _MEAN_TOL = 1e-12
 _SLACK_TOL = 1e-12
 _MERGE_TOL = 1e-12
+# caps of the product-space checks, whose exact enumeration is exponential
+# in the coordinate count
+_MAX_COORDS = 6
+_MAX_SUPPORT = 8
+_MAX_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -249,10 +255,13 @@ class MartingaleTree:
         if depth_left == 0:
             raise InvariantError("leaves must share a common depth")
         probs = [p for _, p, _ in self.children]
-        if any(p < 0 for p in probs):
+        # written as "not inside" so that nan is rejected too
+        if not all(p >= 0 for p in probs):
             raise InvariantError("negative transition probability")
-        if abs(math.fsum(probs) - 1.0) > _PROB_TOL * len(probs):
+        if not abs(math.fsum(probs) - 1.0) <= _PROB_TOL * len(probs):
             raise InvariantError("transition probabilities must sum to 1")
+        if not all(math.isfinite(x) for x, _, _ in self.children):
+            raise InvariantError("differences must be finite")
         if not is_root:
             m = math.fsum(p * x for x, p, _ in self.children)
             if _off_center(m, [x for x, _, _ in self.children]):
@@ -426,34 +435,51 @@ def _resolve_constants(f: Optional[MomentFunction], p: Optional[float],
     if kappa is None:
         if f.kind != "extreme":
             raise DomainError(
-                "no certified centering constant for this kind; pass kappa")
+                "the centering constant of this kind is only the best value of "
+                "a finite sweep, a lower bound of the supremum; pass kappa")
         kappa = centering_constant(f).value
     if sharp is None:
         if f.kind != "extreme":
             raise DomainError(
-                "no certified sharp constant for this kind; pass sharp")
+                "the sharp constant of this kind is only the best value of "
+                "a finite sweep, a lower bound of the supremum; pass sharp")
         sharp = sharp_constant(f).value
     return f, float(kappa), float(sharp)
 
 
-def _suffix_averages(table: np.ndarray, prob_list):
-    """T_i tables: T_n = table, T_i = E over coordinates i+1..n.  Returns the
-    list [T_0, T_1, ..., T_n] with T_i of ndim i."""
-    n = table.ndim
-    out = [None] * (n + 1)
-    out[n] = table
-    cur = table
-    for i in range(n - 1, -1, -1):
-        cur = np.tensordot(cur, prob_list[i], axes=([i], [0]))
-        out[i] = cur
-    return out
+def _check_size(sizes, dim: int = 1):
+    """ResourceLimitError unless there are 1.._MAX_COORDS coordinates, each
+    with at most _MAX_SUPPORT atoms in dimension at most _MAX_DIM."""
+    if not 1 <= len(sizes) <= _MAX_COORDS:
+        raise ResourceLimitError(f"coordinate count {len(sizes)} outside 1..{_MAX_COORDS}")
+    if max(sizes) > _MAX_SUPPORT:
+        raise ResourceLimitError(f"support size {max(sizes)} exceeds {_MAX_SUPPORT}")
+    if dim > _MAX_DIM:
+        raise ResourceLimitError(f"dimension {dim} exceeds {_MAX_DIM}")
+
+
+def _tabulate(g, axes) -> np.ndarray:
+    """g at every point of the product of the axes (lists of floats), in C
+    order; g is called with a list of floats."""
+    shape = tuple(len(a) for a in axes)
+    return np.fromiter((g(list(x)) for x in itertools.product(*axes)),
+                       dtype=float, count=math.prod(shape)).reshape(shape)
+
+
+def _expect_after(t: np.ndarray, i: int, probs) -> np.ndarray:
+    """E of the table t over the coordinates after i (as many as probs has).
+    Each is integrated as the last axis with np.tensordot, and kept at length
+    1, so the result broadcasts against t."""
+    for k in range(len(probs) - 1, i, -1):
+        # the axes after k already have length 1: appending one keeps axis k
+        t = np.tensordot(t, probs[k], axes=([k], [0]))[..., None]
+    return t
 
 
 def check_concentration(g, marginals: Sequence[DiscreteDist], anchors,
                         p: Optional[float] = None, f: Optional[MomentFunction] = None,
                         kappa: Optional[float] = None, sharp: Optional[float] = None,
-                        relaxed: bool = False,
-                        max_support: int = 8, max_coords: int = 6) -> CheckReport:
+                        relaxed: bool = False) -> CheckReport:
     """Concentration of a separately Lipschitz g of independent coordinates:
 
         E f(Y) <= f(E Y) + kappa * C * sum_i E f(rho_i(X_i, x_i)),
@@ -465,17 +491,14 @@ def check_concentration(g, marginals: Sequence[DiscreteDist], anchors,
 
     g may be a callable on coordinate vectors (tabulated here; anchors
     arbitrary) or an ndarray over the support product (anchors must then be
-    support members).  Exact enumeration throughout.  The report's details
-    expose the per-step expansion increments xi_i of Y around E Y, which
-    telescope path-wise, and the centered anchor gaps eta_i with
+    support members); its values must be finite.  At most 6 coordinates of
+    at most 8 atoms each.  Exact enumeration throughout.  The report's
+    details expose the per-step expansion increments xi_i of Y around E Y,
+    which telescope path-wise, and the centered anchor gaps eta_i with
     |eta_i| <= rho_i(X_i, x_i).
     """
     n = len(marginals)
-    if n == 0 or n > max_coords:
-        raise ResourceLimitError(f"coordinate count {n} outside 1..{max_coords}")
-    for m in marginals:
-        if len(m) > max_support:
-            raise ResourceLimitError(f"support size {len(m)} exceeds {max_support}")
+    _check_size([len(m) for m in marginals])
     if len(anchors) != n:
         raise DomainError("one anchor per coordinate required")
     f, kappa, sharp = _resolve_constants(f, p, kappa, sharp)
@@ -483,80 +506,53 @@ def check_concentration(g, marginals: Sequence[DiscreteDist], anchors,
     probs = [m.probs for m in marginals]
     shape = tuple(len(s) for s in supports)
 
+    # table[x] = g(x); anchored[i] = g with coordinate i at its anchor, the
+    # axis kept at length 1
     if callable(g):
-        mesh = np.meshgrid(*supports, indexing="ij")
-        table = np.empty(shape)
-        it = np.nditer(table, flags=["multi_index"], op_flags=["writeonly"])
-        for slot in it:
-            idx = it.multi_index
-            slot[...] = g([float(m[idx]) for m in mesh])
-
-        def anchored(i):
-            out = np.empty(tuple(shape[k] for k in range(n) if k != i))
-            it = np.nditer(out, flags=["multi_index"], op_flags=["writeonly"])
-            for slot in it:
-                idx = list(it.multi_index)
-                coords = [float(supports[k][idx.pop(0)]) if k != i else float(anchors[i])
-                          for k in range(n)]
-                slot[...] = g(coords)
-            return out
+        axes = [s.tolist() for s in supports]
+        table = _tabulate(g, axes)
+        anchored = [_tabulate(g, axes[:i] + [[float(a)]] + axes[i + 1:])
+                    for i, a in enumerate(anchors)]
     else:
         table = np.asarray(g, dtype=float)
         if table.shape != shape:
             raise DomainError(f"table shape {table.shape} does not match supports {shape}")
-
-        def anchored(i):
-            hits = np.nonzero(supports[i] == float(anchors[i]))[0]
+        anchored = []
+        for i, (s, a) in enumerate(zip(supports, anchors)):
+            hits = np.nonzero(s == float(a))[0]
             if len(hits) != 1:
                 raise DomainError(
-                    f"anchor {anchors[i]} not in support of coordinate {i + 1}; "
+                    f"anchor {a} not in support of coordinate {i + 1}; "
                     "pass g as a callable for off-support anchors")
-            return np.take(table, hits[0], axis=i)
+            anchored.append(np.take(table, hits, axis=i))
+    if not all(np.isfinite(t).all() for t in (table, *anchored)):
+        raise DomainError("g must be finite on the support product and at the anchors")
 
     joint = reduce(np.multiply.outer, probs)
     ey = float(np.sum(joint * table))
     lhs = math.fsum((joint * np.asarray(f.eval(table), dtype=float)).ravel())
 
+    # T[k] = E(Y | X_1..X_k), the coordinates from k on kept at length 1
+    T = [table]
+    for k in range(n - 1, -1, -1):
+        T.insert(0, _expect_after(T[0], k - 1, probs[:k + 1]))
+
     rho = []
     cost_moments = []
+    eta_margin = math.inf
     for i in range(n):
-        base = anchored(i)  # g with coordinate i at its anchor
-        moved = np.moveaxis(table, i, -1)  # contexts first, coordinate last
-        if relaxed:
-            # integrate coordinates after i out of both tables, then max
-            # over the prefix contexts only
-            suffix = [k for k in range(n) if k > i]
-            t_red = table
-            a_red = base
-            for k in reversed(suffix):
-                t_red = np.tensordot(t_red, probs[k], axes=([k], [0]))
-                a_red = np.tensordot(a_red, probs[k], axes=([k - 1], [0]))
-            diffs = np.abs(np.moveaxis(t_red, i, -1) - a_red[..., None])
-            r = diffs.reshape(-1, shape[i]).max(axis=0)
-        else:
-            diffs = np.abs(moved - base[..., None])
-            r = diffs.reshape(-1, shape[i]).max(axis=0)
-        rho.append(r)
-        cost_moments.append(math.fsum(probs[i] * np.asarray(f.eval(r), dtype=float)))
+        # |eta_i| = |T[i+1] - the anchored table with later coordinates
+        # integrated out|; the relaxed cost is its max over prefix contexts
+        eta = np.abs(T[i + 1] - _expect_after(anchored[i], i, probs))
+        diffs = eta if relaxed else np.abs(table - anchored[i])
+        r = diffs.max(axis=tuple(k for k in range(n) if k != i), keepdims=True)
+        rho.append(r.ravel())
+        cost_moments.append(math.fsum(probs[i] * np.asarray(f.eval(rho[i]), dtype=float)))
+        eta_margin = min(eta_margin, float(np.min(r - eta)))
 
     rhs = float(f.eval(ey)) + kappa * sharp * math.fsum(cost_moments)
 
-    # diagnostics: per-step expansion increments and anchor gaps
-    t_list = _suffix_averages(table, probs)
-    telescoped = np.zeros(shape)
-    eta_margin = math.inf
-    for i in range(1, n + 1):
-        ti = t_list[i].reshape(t_list[i].shape + (1,) * (n - i))
-        tim1 = t_list[i - 1].reshape(t_list[i - 1].shape + (1,) * (n - i + 1))
-        telescoped = telescoped + (ti - tim1)
-        base = anchored(i - 1)
-        suffix = [k for k in range(n) if k > i - 1]
-        a_red = base
-        for k in reversed(suffix):
-            a_red = np.tensordot(a_red, probs[k], axes=([k - 1], [0]))
-        eta = ti - a_red.reshape(a_red.shape + (1,) * (n - i + 1))
-        rho_b = rho[i - 1].reshape((1,) * (i - 1) + (shape[i - 1],) + (1,) * (n - i))
-        eta_margin = min(eta_margin, float(np.min(rho_b - np.abs(eta))))
+    telescoped = sum((T[k + 1] - T[k] for k in range(n)), np.zeros(shape))
     doob_err = float(np.max(np.abs(telescoped - (table - ey))))
     scale = max(1.0, float(np.max(np.abs(table))))
     if doob_err > 1e-10 * scale:
@@ -581,7 +577,10 @@ class VectorDist:
         pr = np.asarray(self.probs, dtype=float)
         if pts.shape[0] != len(pr):
             raise DomainError("points and probs must match")
-        if np.any(pr < 0) or abs(math.fsum(pr) - 1.0) > _PROB_TOL * len(pr):
+        if not np.isfinite(pts).all():
+            raise DomainError("points must be finite")
+        # written as "not inside" so that nan is rejected too
+        if not ((pr >= 0).all() and abs(math.fsum(pr) - 1.0) <= _PROB_TOL * len(pr)):
             raise DomainError("probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
@@ -597,26 +596,22 @@ def _power_constants(p: float) -> tuple:
     return power_centering_constant(p).value, power_sharp_constant(p).value
 
 
-def check_sum_norm(vectors: Sequence[VectorDist], p: float, anchors,
-                   max_support: int = 8, max_coords: int = 6,
-                   max_dim: int = 4) -> CheckReport:
+def check_sum_norm(vectors: Sequence[VectorDist], p: float, anchors) -> CheckReport:
     """Norm concentration of an independent vector sum S = X_1 + ... + X_n:
 
         E ||S||^p <= (E ||S||)^p + tkappa_p * tC_p * sum_i E ||X_i - x_i||^p,
 
-    with the l^p norm and arbitrary anchor points x_i.  Exact enumeration."""
+    with the l^p norm and arbitrary anchor points x_i.  At most 6 vectors of
+    at most 8 atoms each, in dimension at most 4.  Exact enumeration."""
     n = len(vectors)
-    if n == 0 or n > max_coords:
-        raise ResourceLimitError(f"coordinate count {n} outside 1..{max_coords}")
-    dim = vectors[0].points.shape[1]
-    if dim > max_dim:
-        raise ResourceLimitError(f"dimension {dim} exceeds {max_dim}")
-    for v in vectors:
-        if v.points.shape[0] > max_support:
-            raise ResourceLimitError("support size exceeds cap")
-        if v.points.shape[1] != dim:
-            raise DomainError("all vectors must share one dimension")
+    dims = {v.points.shape[1] for v in vectors}
+    _check_size([v.points.shape[0] for v in vectors], max(dims, default=1))
+    if len(dims) != 1:
+        raise DomainError("all vectors must share one dimension")
+    dim = dims.pop()
     anchors = [np.asarray(a, dtype=float).reshape(dim) for a in anchors]
+    if not all(np.isfinite(a).all() for a in anchors):
+        raise DomainError("anchors must be finite")
     kappa, sharp = _power_constants(float(p))
 
     shape = tuple(v.points.shape[0] for v in vectors)

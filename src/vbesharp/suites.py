@@ -162,7 +162,7 @@ def _random_zero_mean(rng, k: int, scale: float) -> oracle.DiscreteDist:
 def centering_suite(n: int = 10 ** 3, seed: int = 3, collect: bool = False,
                     allowance: float = 1e-3) -> SuiteResult:
     """Random zero-mean laws and shifts against the computed centering
-    constant (certified lower bound) plus an allowance."""
+    constant (a finite sweep's best value) plus an allowance."""
     clip = extreme_momfun(1.0)
     funcs = [power_momfun(1.5), clip]
     kappas = [power_centering_constant(1.5).value + allowance,

@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 from vbesharp import (
     DomainError,
-    InvariantError,
     bregman_gap,
     expect_f,
     extreme_momfun,
@@ -274,20 +273,50 @@ def exact_orderings():
     return enumerate_orderings()
 
 
+def _scanned_orderings(x, c) -> tuple:
+    """The float argsort orderings met at the points (x, c), as sets split by
+    branch: x < c, then x > c."""
+    z = np.stack([np.ones_like(x), x, 1.0 + x - c, np.abs(x - c), 1.0 - c, c, 1.0 - x],
+                 axis=1)
+    lt = x < c
+    return tuple(set(map(tuple, np.argsort(z[m], axis=1).tolist())) for m in (lt, ~lt))
+
+
+def _exact_sets(res) -> tuple:
+    return set(res.orderings_x_lt_c), set(res.orderings_x_gt_c)
+
+
 class TestOrderings:
     def test_counts(self):
-        res = enumerate_orderings(10 ** 5, seed=1, grid=500)
+        res = enumerate_orderings()
         assert (res.count_x_lt_c, res.count_x_gt_c, res.case_count) == (10, 2, 432)
 
     def test_seed_independence(self):
-        a = enumerate_orderings(10 ** 5, seed=1, grid=400)
-        b = enumerate_orderings(10 ** 5, seed=999, grid=400)
+        a = enumerate_orderings()
+        b = enumerate_orderings()
         assert a.orderings_x_lt_c == b.orderings_x_lt_c
         assert a.orderings_x_gt_c == b.orderings_x_gt_c
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 999])
+    def test_random_scan_meets_exactly_the_exact_orderings(self, exact_orderings, seed):
+        # an independent reference: uniform random points of the domain
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, 10 ** 5)
+        c = rng.uniform(0.5, 1.0, 10 ** 5)
+        assert _scanned_orderings(x, c) == _exact_sets(exact_orderings)
+
+    @pytest.mark.parametrize("grid", [400, 500])
+    def test_lattice_scan_meets_exactly_the_exact_orderings(self, exact_orderings, grid):
+        # a grid x grid lattice offset by irrational fractions, so that no
+        # lattice point lies on a tie line
+        xs = (np.arange(grid) + 0.61803398874989484) / grid
+        cs = 0.5 + (np.arange(grid) + 0.41421356237309515) / (2.0 * grid)
+        x, c = (a.ravel() for a in np.meshgrid(xs, cs, indexing="ij"))
+        assert _scanned_orderings(x, c) == _exact_sets(exact_orderings)
+
     def test_expected_large_x_orderings(self):
         # indices into (1, x, 1+x-c, |x-c|, 1-c, c, 1-x)
-        res = enumerate_orderings(10 ** 5, seed=2, grid=500)
+        res = enumerate_orderings()
         expected = {
             (3, 6, 4, 5, 1, 0, 2),  # |x-c| < 1-x < 1-c < c < x < 1 < 1+x-c
             (6, 3, 4, 5, 1, 0, 2),  # 1-x < |x-c| < 1-c < c < x < 1 < 1+x-c
@@ -295,7 +324,7 @@ class TestOrderings:
         assert set(res.orderings_x_gt_c) == expected
 
     def test_witnesses_reproduce_orderings(self):
-        res = enumerate_orderings(10 ** 5, seed=3, grid=400)
+        res = enumerate_orderings()
         for ordering, (x, c) in res.witnesses.items():
             z = np.array([1.0, x, 1 + x - c, abs(x - c), 1 - c, c, 1 - x])
             assert tuple(np.argsort(z)) == ordering
@@ -326,11 +355,6 @@ class TestOrderings:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         res = enumerate_orderings()
         assert (res.count_x_lt_c, res.count_x_gt_c, res.case_count) == (10, 2, 432)
-
-    def test_incomplete_scan_raises(self):
-        # ten points cannot meet all twelve orderings
-        with pytest.raises(InvariantError):
-            enumerate_orderings(n_samples=10)
 
     @given(st.fractions(0, 1), st.fractions(Fraction(1, 2), 1))
     def test_every_strict_ordering_is_enumerated(self, exact_orderings, x, c):

@@ -336,6 +336,22 @@ class TestTrees:
         with pytest.raises(InvariantError):
             check_tree_inequality(power_momfun(1.5), tree, 2.0)
 
+    @pytest.mark.parametrize("bad", [
+        ((1.0, math.nan), (-1.0, 1.0)),  # a nan transition probability
+        ((math.nan, 0.5), (-1.0, 0.5)),  # a nan difference
+    ])
+    @pytest.mark.parametrize("at_root", [True, False])
+    def test_nan_rejected(self, bad, at_root):
+        leaf = MartingaleTree()
+        node = MartingaleTree(children=tuple((x, q, leaf) for x, q in bad))
+        if at_root:
+            tree = node
+        else:
+            sound = MartingaleTree(children=((1.0, 0.5, leaf), (-1.0, 0.5, leaf)))
+            tree = MartingaleTree(children=((1.0, 0.5, sound), (-1.0, 0.5, node)))
+        with pytest.raises(InvariantError):
+            tree.validate()
+
 
 class TestGrowthRatio:
     def test_unit_at_origin(self):
@@ -550,6 +566,99 @@ class TestConcentration:
         with pytest.raises(ResourceLimitError):
             check_concentration(lambda xs: xs[0], margs, [0.0], p=1.5)
 
+    def test_callable_relaxed_matches_its_table(self):
+        margs = _three_margs()
+        anchors = [0.5, -2.0, 1.5]
+        table = np.array([[[_g(a, b, c) for c in margs[2].support]
+                           for b in margs[1].support] for a in margs[0].support])
+        from_g = check_concentration(_g_list, margs, anchors, p=1.5, relaxed=True)
+        from_table = check_concentration(table, margs, anchors, p=1.5, relaxed=True)
+        assert from_g == from_table
+        for rg, rt in zip(from_g.details["rho"], from_table.details["rho"]):
+            assert np.array_equal(rg, rt)
+        # off the supports too, the relaxed costs never exceed the strict ones
+        strict = check_concentration(_g_list, margs, [0.0, 1.0, -0.5], p=1.5)
+        relaxed = check_concentration(_g_list, margs, [0.0, 1.0, -0.5], p=1.5,
+                                      relaxed=True)
+        for rs, rr in zip(strict.details["rho"], relaxed.details["rho"]):
+            assert np.all(rr <= rs + 1e-14)  # E over later coordinates rounds
+        assert relaxed.passed and relaxed.rhs < strict.rhs
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_callable_called_once_per_point(self, relaxed):
+        # the table, then each anchored table once: 12 + (6 + 4 + 6) points
+        calls = []
+
+        def g(xs):
+            calls.append(list(xs))
+            assert all(type(x) is float for x in xs)
+            return _g_list(xs)
+
+        check_concentration(g, _three_margs(), [0.0, 1.0, -0.5], p=1.5, relaxed=relaxed)
+        assert len(calls) == 12 + 16
+        assert calls[:2] == [[-1.0, -2.0, -0.5], [-1.0, -2.0, 1.5]]  # C order
+        assert calls[12] == [0.0, -2.0, -0.5]  # coordinate 1 at its anchor
+
+    def test_callable_report_pinned(self):
+        # the report's bits: a change here is a change of the check's arithmetic
+        rep = check_concentration(_g_list, _three_margs(), [0.0, 1.0, -0.5], p=1.5,
+                                  relaxed=True)
+        assert _hex_report(rep) == (
+            "0x1.df4a81390d847p+2", "0x1.01a2501bf4d5fp+4",
+            (("0x1.3333333333330p-2", "0x1.cccccccccccc8p-2"),
+             ("0x1.8000000000001p+1", "0x1.0000000000000p+1", "0x1.0000000000000p+2"),
+             ("0x0.0p+0", "0x1.0000000000000p+1")),
+            ("0x1.11e68f0db3dddp-2", "0x1.42fb90ce765b9p+2", "0x1.21a1851ff630bp+0"),
+            "0x1.0000000000000p-51", "0x0.0p+0")
+
+    def test_table_report_pinned(self):
+        table = np.array([[[0.0, -2.0], [1.75, 1.25], [6.0, 11.5]],
+                          [[11.75, 17.5], [18.5, 25.0], [31.5, 33.25]]])
+        rep = check_concentration(table, _three_margs(), [0.5, -2.0, 1.5], p=1.5)
+        assert _hex_report(rep) == (
+            "0x1.1bd62f2f02891p+6", "0x1.3cbd6d2f767b4p+7",
+            (("0x1.9800000000000p+4", "0x0.0p+0"),
+             ("0x0.0p+0", "0x1.e000000000000p+2", "0x1.3c00000000000p+4"),
+             ("0x1.a000000000000p+2", "0x0.0p+0")),
+            ("0x1.01899178056b1p+5", "0x1.7b74fe35c84b2p+4", "0x1.3e2dc6fe4eec3p+3"),
+            "0x1.8000000000000p-48", "0x0.0p+0")
+
+    def test_nan_table_rejected(self):
+        table = np.array([[0.0, 1.0], [math.nan, 0.5]])
+        margs = [DiscreteDist(np.array([-1.0, 2.0]), np.array([0.6, 0.4]))] * 2
+        with pytest.raises(DomainError):
+            check_concentration(table, margs, [-1.0, 2.0], p=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_g_rejected(self, bad):
+        # g is finite on the supports and not finite at the off-support anchor
+        margs = [DiscreteDist(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))]
+        with pytest.raises(DomainError):
+            check_concentration(lambda xs: bad if xs[0] == 0.0 else xs[0], margs,
+                                [0.0], p=1.5)
+
+
+def _three_margs():
+    return [DiscreteDist(np.array([-1.0, 0.5]), np.array([0.25, 0.75])),
+            DiscreteDist(np.array([-2.0, 0.0, 3.0]), np.array([0.5, 0.3, 0.2])),
+            DiscreteDist(np.array([-0.5, 1.5]), np.array([0.6, 0.4]))]
+
+
+def _g(a, b, c):
+    return abs(a - 2.0 * b) + a * c
+
+
+def _g_list(xs):
+    return _g(*xs)
+
+
+def _hex_report(rep):
+    d = rep.details
+    return (rep.lhs.hex(), rep.rhs.hex(),
+            tuple(tuple(v.hex() for v in r.tolist()) for r in d["rho"]),
+            tuple(c.hex() for c in d["cost_moments"]),
+            d["doob_telescope_error"].hex(), d["eta_bound_margin"].hex())
+
 
 class TestSumNorm:
     def test_one_dim_consistency(self):
@@ -587,6 +696,22 @@ class TestSumNorm:
         assert first == second
         assert first.constant_used == (power_centering_constant(1.37).value
                                        * power_sharp_constant(1.37).value)
+
+    @pytest.mark.parametrize("points, probs", [
+        ([[0.0], [1.0]], [0.5, math.nan]),
+        ([[0.0], [math.inf]], [0.5, 0.5]),
+        ([[0.0], [-math.inf]], [0.5, 0.5]),
+        ([[0.0, math.nan], [1.0, 0.0]], [0.5, 0.5]),
+    ])
+    def test_non_finite_rejected(self, points, probs):
+        with pytest.raises(DomainError):
+            VectorDist(np.array(points), np.array(probs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        vecs = [VectorDist(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))] * 2
+        with pytest.raises(DomainError):
+            check_sum_norm(vecs, 1.5, [np.array([bad]), np.zeros(1)])
 
     def test_dimension_cap(self):
         vecs = [VectorDist(np.zeros((2, 5)) + np.arange(5), np.array([0.5, 0.5]))]
