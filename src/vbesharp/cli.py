@@ -176,7 +176,7 @@ def _cmd_figure(args) -> int:
 def _cmd_table(args) -> int:
     path = _out_path(args.out, "power_constants.csv")
     grid = _p_grid(args, default_from=1.01, default_to=2.0)
-    rows = [(p, *_power_row(p)) for p in (min(q, 2.0) for q in grid)]
+    rows = [(p, *_power_row(p)) for p in grid]
     write_csv(path, ("p",) + _POWER_COLUMNS, rows,
               _header(args, f"grid={grid[0]}..{grid[-1]}"))
     sharp = [r[2] for r in rows]

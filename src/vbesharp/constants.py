@@ -374,9 +374,10 @@ def centering_constant(f: MomentFunction,
         return ConstantResult(value=2.0, method="closed_form", attained_in_limit=True)
     if c_grid is None:
         c_grid = np.geomspace(1e-2, 1e3, 40)
-    c_grid = np.asarray(c_grid, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    if np.any(ratios <= 2.0):
+    # Python floats, so that every witness coordinate is a float
+    c_grid = np.asarray(c_grid, dtype=float).tolist()
+    ratios = np.asarray(ratios, dtype=float).tolist()
+    if min(ratios) <= 2.0:
         raise DomainError("scale ratios must exceed 2 (c < s/2)")
 
     def ratio(c, s):
@@ -398,7 +399,7 @@ def centering_constant(f: MomentFunction,
     # coordinate refinement in log space around the grid argmax
     for _ in range(2):
         lr, v = golden_max(lambda t: ratio(c_star, math.exp(t) * c_star)[0],
-                           math.log(2.0 + 1e-9), math.log(float(ratios[-1])),
+                           math.log(2.0 + 1e-9), math.log(ratios[-1]),
                            tol=1e-12)
         if v > val:
             val, s_star = v, math.exp(lr) * c_star

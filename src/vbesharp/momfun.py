@@ -32,7 +32,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -138,6 +138,17 @@ class MomentFunction:
         return self.eval(x)
 
 
+class _Tables(NamedTuple):
+    # per-piece coefficients of a piecewise polynomial, indexed by piece
+    bp: object
+    value: object
+    slope: object
+    a2: object
+    a3: object
+    c0: object
+    c1: object
+
+
 def _piecewise_momfun(bp, c0, c1, top=math.inf, **fields) -> MomentFunction:
     """Moment function with f(0) = f'(0) = 0 and, on the piece starting at
     bp[j], f''(x) = c0[j] + c1[j]*(|x| - bp[j]); the last piece ends at top.
@@ -145,8 +156,11 @@ def _piecewise_momfun(bp, c0, c1, top=math.inf, **fields) -> MomentFunction:
     bp increases from bp[0] = 0.  Slope and value at each breakpoint are
     accumulated once; an evaluation finds its piece by binary search and works
     in Horner form in d = |x| - bp[j], so no power of d is formed before it is
-    scaled.  |x| >= top raises.  ``fields`` are the MomentFunction fields
-    besides the evaluators.
+    scaled.  A float (np.float64 included) is evaluated on Python lists of the
+    tables, without numpy; anything else on the numpy arrays.  Both do the
+    same IEEE operations in the same order, so they agree bit for bit.
+    |x| >= top raises.  ``fields`` are the MomentFunction fields besides the
+    evaluators.
     """
     bp = np.asarray(bp, dtype=float)
     c0 = np.asarray(c0, dtype=float)
@@ -156,26 +170,36 @@ def _piecewise_momfun(bp, c0, c1, top=math.inf, **fields) -> MomentFunction:
     slope = np.concatenate([[0.0], np.cumsum(h * (c0[:-1] + h * (0.5 * c1[:-1])))])
     value = np.concatenate(
         [[0.0], np.cumsum(h * (slope[:-1] + h * (a2[:-1] + h * a3[:-1])))])
+    arrays = _Tables(bp, value, slope, a2, a3, c0, c1)
+    lists = _Tables(*(t.tolist() for t in arrays))
 
     def _piece(x):
-        ax = np.abs(x)
-        if np.any(ax >= top):
+        # (tables, piece index j, d = |x| - bp[j], sign of x)
+        if isinstance(x, float):
+            x = float(x)
+            t, ax, sign = lists, abs(x), (x > 0.0) - (x < 0.0)
+            beyond = ax >= top
+            j = bisect.bisect_right(t.bp, ax) - 1
+        else:
+            t, ax, sign = arrays, np.abs(x), np.sign(x)
+            beyond = np.any(ax >= top)
+            j = np.searchsorted(t.bp, ax, side="right") - 1
+        if beyond:
             raise DomainError(
                 f"{fields['label']} evaluation supported on |x| < {top:.6g}")
-        j = np.searchsorted(bp, ax, side="right") - 1
-        return j, ax - bp[j]
+        return t, j, ax - t.bp[j], sign
 
     def f(x):
-        j, d = _piece(x)
-        return value[j] + d * (slope[j] + d * (a2[j] + d * a3[j]))
+        t, j, d, _ = _piece(x)
+        return t.value[j] + d * (t.slope[j] + d * (t.a2[j] + d * t.a3[j]))
 
     def fp(x):
-        j, d = _piece(x)
-        return np.sign(x) * (slope[j] + d * (c0[j] + d * (0.5 * c1[j])))
+        t, j, d, sign = _piece(x)
+        return sign * (t.slope[j] + d * (t.c0[j] + d * (0.5 * t.c1[j])))
 
     def fpp(x):
-        j, d = _piece(x)
-        return c0[j] + c1[j] * d
+        t, j, d, _ = _piece(x)
+        return t.c0[j] + t.c1[j] * d
 
     return MomentFunction(eval=f, deriv=fp, second_deriv=fpp, **fields)
 

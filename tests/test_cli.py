@@ -125,6 +125,16 @@ class TestTable:
         last = _read_rows(out)[-1]
         assert float(last["sharp"]) == 1.0 and float(last["centering"]) == 1.0
 
+    def test_exponent_above_two_is_a_usage_error(self, tmp_path, capsys):
+        # a grid point past 2 is rejected as `constants --p 2.5` is, not
+        # clamped onto a second p = 2 row
+        out = tmp_path / "tab.csv"
+        assert main(["table", "--from", "1.5", "--to", "2.5", "--step", "0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: exponent must lie in (1, 2], got 2.5\n"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_smoke_all(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sharp constants, explicit bounds, and centering constants."""
 
+import functools
 import math
 import time
 
@@ -19,6 +20,7 @@ from vbesharp import (
     centering_objective,
     expect_f,
     extreme_momfun,
+    gamma_of,
     momfun_of_gamma,
     GammaMeasure,
     power_centering_constant,
@@ -147,6 +149,56 @@ class TestSharpConstant:
         blend = momfun_of_gamma(GammaMeasure(atoms=((0.5, 0.3), (2.0, 0.7))))
         res = sharp_constant(blend, s_max=1e3, n_s=40)
         assert 1.0 + 1e-6 < res.value <= 2.0 + 1e-12
+
+
+# float.hex of the sweep constants of the alternating spline ("alt") and of
+# its rebuild through gamma_of / momfun_of_gamma ("rt"): value, then the
+# witness coordinates in order (s*, x* for sharp; c*, s*, a* for centering)
+SWEEP_PINS = {
+    ("alt", 0.1, "sharp"): ("0x1.8ec011439eacap+0", "0x1.463fbc487e7d9p+11", "0x1.bccaa43ae86f7p+8"),
+    ("alt", 0.1, "centering"): ("0x1.3aabec1c9b4cap+0", "0x1.150d0f6ad917ap+9",
+                                "0x1.1c423ac05a0f3p+12", "0x1.c99ac89b070f6p+8"),
+    ("alt", 0.15, "sharp"): ("0x1.72b72a3b1a41cp+0", "0x1.afacb82ee4134p+8", "0x1.5a42a14b44c1fp+6"),
+    ("alt", 0.15, "centering"): ("0x1.2829d17fb970ep+0", "0x1.b2b1c6bc6a3d9p+6",
+                                 "0x1.821ef5dc3cc91p+9", "0x1.40b465deddd22p+6"),
+    ("alt", 0.2, "sharp"): ("0x1.8a7f08c4c8017p+0", "0x1.e67e69c8aef52p+10", "0x1.54d2678175b14p+8"),
+    ("alt", 0.2, "centering"): ("0x1.376d54e73ed19p+0", "0x1.9c766f768601ap+8",
+                                "0x1.a25f247b2c907p+11", "0x1.508f1614b7bebp+8"),
+    ("rt", 0.1, "sharp"): ("0x1.8ec011439eabbp+0", "0x1.463fba7dc8b17p+11", "0x1.bccaa43ae91f4p+8"),
+    ("rt", 0.1, "centering"): ("0x1.3aabec1c9b477p+0", "0x1.150d0f6ad917ap+9",
+                               "0x1.1c423ac20e7cep+12", "0x1.c99ac89b070f6p+8"),
+    ("rt", 0.15, "sharp"): ("0x1.72b72a3b1a406p+0", "0x1.afacba2525318p+8", "0x1.5a42a14b44bcbp+6"),
+    ("rt", 0.15, "centering"): ("0x1.2829d17f6e54dp+0", "0x1.b2b1c7f63f1c3p+6",
+                                "0x1.821ef92bffefbp+9", "0x1.40b4682c61fe2p+6"),
+    ("rt", 0.2, "sharp"): ("0x1.8a7f08c4c7fd2p+0", "0x1.e67e6501c59b7p+10", "0x1.54d2678176233p+8"),
+    ("rt", 0.2, "centering"): ("0x1.376d54e73eccep+0", "0x1.9c766f768601ap+8",
+                               "0x1.a25f2475b4c3cp+11", "0x1.508f1666381f3p+8"),
+}
+
+
+def _key_id(key):
+    return "-".join(map(str, key))
+
+
+@functools.cache
+def _sweep_constant(kind, x1, what):
+    f = altspline_momfun(AltSplineParams(x1))
+    if kind == "rt":
+        f = momfun_of_gamma(gamma_of(f, np.geomspace(1e-3, 1e7, 400)))
+    return (sharp_constant if what == "sharp" else centering_constant)(f)
+
+
+class TestSweepConstantPins:
+    @pytest.mark.parametrize("key", sorted(SWEEP_PINS), ids=_key_id)
+    def test_bit_identical(self, key):
+        res = _sweep_constant(*key)
+        got = (res.value, *(v for _, v in res.witness))
+        assert tuple(float(v).hex() for v in got) == SWEEP_PINS[key]
+
+    @pytest.mark.parametrize("key", sorted(SWEEP_PINS), ids=_key_id)
+    def test_witness_coordinates_are_floats(self, key):
+        res = _sweep_constant(*key)
+        assert [type(v) for _, v in res.witness] == [float] * len(res.witness)
 
 
 class TestPowerGap:

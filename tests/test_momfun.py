@@ -429,6 +429,71 @@ class TestMixtureAssembly:
             momfun_of_gamma(bad)
 
 
+def _stepped_momfun():
+    # atoms and a step density: the cubic term (c1 != 0) is live on the cells
+    edges = (0.1, 0.5, 1.0, 4.0)
+    atoms = ((0.3, 0.5), (2.0, 0.25), (math.inf, 0.1))
+    f = momfun_of_gamma(GammaMeasure(atoms=atoms, step_edges=np.array(edges),
+                                     step_values=np.array([0.4, 0.2, 0.05])))
+    # the piece ends; the last piece is unbounded, sampled up to 1e6
+    return f, sorted({0.0, *edges, 0.3, 2.0, 1e6})
+
+
+def _piecewise_cases():
+    cases = []
+    for x1 in (0.1, 0.2):
+        f = altspline_momfun(AltSplineParams(x1))
+        cases.append((f, f.param.breakpoints.tolist()))  # the last one is top
+    return cases + [_stepped_momfun()]
+
+
+PIECEWISE = _piecewise_cases()
+
+
+class TestFloatPath:
+    """A float is evaluated without numpy, an array with it; the two must
+    agree bit for bit."""
+
+    @staticmethod
+    def _both(fn, x):
+        return fn(x), fn(np.array([x]))[0]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(range(len(PIECEWISE))), st.integers(0, 10 ** 6),
+           st.floats(0.0, 1.0), st.sampled_from(["inside", "at", "zero"]),
+           st.booleans(), st.booleans())
+    def test_matches_array_path(self, case, k, u, where, negative, np_scalar):
+        f, ends = PIECEWISE[case]
+        j = k % (len(ends) - 1)
+        lo, hi = ends[j], ends[j + 1]
+        x = {"inside": min(lo + u * (hi - lo), math.nextafter(hi, 0.0)),
+             "at": lo, "zero": 0.0}[where]
+        x = -x if negative else x
+        x = np.float64(x) if np_scalar else x
+        for fn in (f.eval, f.deriv, f.second_deriv):
+            got, want = self._both(fn, x)
+            assert type(got) is float, fn
+            assert got.hex() == float(want).hex(), (fn, x)
+
+    def test_nan(self):
+        for f, _ in PIECEWISE:
+            for fn in (f.eval, f.deriv, f.second_deriv):
+                got, want = self._both(fn, math.nan)
+                assert math.isnan(got) and math.isnan(want)
+
+    def test_range_guard_on_both_paths(self):
+        f = altspline_momfun(AltSplineParams(0.1, max_level=4))
+        top = float(f.param.breakpoints[-1])
+        for x in (top, -top, math.inf, np.float64(top)):
+            for fn in (f.eval, f.deriv, f.second_deriv):
+                messages = []
+                for arg in (x, np.array([x])):
+                    with pytest.raises(DomainError) as err:
+                        fn(arg)
+                    messages.append(str(err.value))
+                assert messages[0] == messages[1]
+
+
 class TestRoundTrips:
     ATOMIC_TOL = 1e-6   # purely atomic families recover exactly
     DENSITY_TOL = 1e-2  # power families: grid discretization dominates
